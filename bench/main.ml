@@ -583,11 +583,11 @@ let ablation () =
     Timing.time_ms (fun () ->
         let packs =
           Indexer.Packed
-            (Indexer.hash_ops, Indexer.empty_fields Indexer.hash_ops store)
+            (Indexer.hash_ops, Indexer.empty_fields Indexer.hash_ops)
           :: List.map
                (fun spec ->
                  let ops = Indexer.sct_ops spec.LT.sct in
-                 Indexer.Packed (ops, Indexer.empty_fields ops store))
+                 Indexer.Packed (ops, Indexer.empty_fields ops))
                specs
         in
         Indexer.create_multi store packs)
@@ -964,19 +964,6 @@ let parallel () =
   let build jobs =
     Db.of_store ~config:{ Db.Config.default with Db.Config.jobs } store
   in
-  (* every per-node field of every index, digested *)
-  let fingerprint db =
-    let si = Db.string_index db in
-    let buf = Buffer.create 65536 in
-    Store.iter_pre store (fun n ->
-        Buffer.add_string buf (string_of_int (Hash.to_int (SI.hash_of si n))));
-    List.iter
-      (fun ti ->
-        Store.iter_pre store (fun n ->
-            Buffer.add_string buf (string_of_int (TI.state_of ti n))))
-      (Db.typed_indices db);
-    Digest.string (Buffer.contents buf)
-  in
   let serial_fp = ref "" and serial_ms = ref 0.0 in
   let rows =
     List.map
@@ -984,7 +971,7 @@ let parallel () =
         let ms =
           Timing.repeat_ms ~warmup:1 !reps (fun () -> ignore (build jobs : Db.t))
         in
-        let fp = fingerprint (build jobs) in
+        let fp = Db.digest (build jobs) in
         if jobs = 1 then begin
           serial_fp := fp;
           serial_ms := ms
@@ -1160,6 +1147,73 @@ let wal_bench () =
    in a directory under the working tree, NOT /tmp, for the same
    reason as the wal experiment: tmpfs fsyncs are free. Results land
    in BENCH_serve.json. *)
+(* The tree this binary was built from, for BENCH provenance. *)
+let git_rev () =
+  let read cmd =
+    match Unix.open_process_in cmd with
+    | ic ->
+        let line = try input_line ic with End_of_file -> "" in
+        ignore (Unix.close_process_in ic : Unix.process_status);
+        line
+    | exception Unix.Unix_error _ -> ""
+  in
+  let rev = read "git rev-parse HEAD 2>/dev/null" in
+  if rev = "" then "unknown"
+  else if read "git status --porcelain --untracked-files=no 2>/dev/null" = ""
+  then rev
+  else rev ^ "-dirty"
+
+let p50 samples =
+  let a = Array.copy samples in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* Publication cost vs index size: what epoch publication costs the
+   writer per value commit — [Db.copy] of the master plus the plane the
+   epoch answers scoped reads from, exactly the two steps
+   [Engine.publish_locked] takes — at three XMark sizes. The commit's own
+   index maintenance ([Db.update_texts], 4 writes) is timed beside it,
+   because copy-on-write moves part of the copy's cost into the next
+   write. *)
+let publication_curve () =
+  let module Db = Xvi_core.Db in
+  let factors = if !quick then [ 0.05; 0.1 ] else [ 0.25; 1.0; 4.0 ] in
+  let commits = if !quick then 10 else 40 in
+  List.map
+    (fun factor ->
+      let db =
+        match Db.of_xml (Xvi_workload.Xmark.generate ~seed:42 ~factor ()) with
+        | Ok db -> db
+        | Error e -> failwith (Parser.error_to_string e)
+      in
+      let texts = Store.text_nodes (Db.store db) in
+      let rng = Prng.create 7 in
+      let update_ms = Array.make commits 0.0
+      and publish_ms = Array.make commits 0.0 in
+      ignore (Db.plane db : Xvi_xml.Pre_plane.t);
+      for i = 0 to commits - 1 do
+        let writes =
+          List.init 4 (fun j ->
+              ( texts.(Prng.int rng (Array.length texts)),
+                Printf.sprintf "publication %d.%d" i j ))
+        in
+        let (), ums = Timing.time_ms (fun () -> Db.update_texts db writes) in
+        let (), pms =
+          Timing.time_ms (fun () ->
+              ignore (Db.plane db : Xvi_xml.Pre_plane.t);
+              let epoch = Db.copy db in
+              ignore (Db.plane epoch : Xvi_xml.Pre_plane.t))
+        in
+        update_ms.(i) <- ums;
+        publish_ms.(i) <- pms
+      done;
+      ( factor,
+        Store.live_count (Db.store db),
+        Db.index_storage_bytes db,
+        p50 update_ms *. 1000.0,
+        p50 publish_ms *. 1000.0 ))
+    factors
+
 let serve_bench () =
   print_endline
     "== serve: epoch-pinned read QPS and cross-session commit throughput ==";
@@ -1341,18 +1395,35 @@ let serve_bench () =
          ])
        commit_rows);
 
+  let publication = publication_curve () in
+  Table.print
+    ~header:[ "xmark"; "nodes"; "index bytes"; "update p50 us"; "publish p50 us" ]
+    (List.map
+       (fun (f, nodes, bytes, ups, pub) ->
+         [
+           Printf.sprintf "x%g" f;
+           string_of_int nodes;
+           string_of_int bytes;
+           Printf.sprintf "%.0f" ups;
+           Printf.sprintf "%.0f" pub;
+         ])
+       publication);
+
   let json =
     Printf.sprintf
       "{\n\
       \  \"experiment\": \"serve\",\n\
+      \  \"git_rev\": \"%s\",\n\
+      \  \"quick\": %b,\n\
       \  \"cores\": %d,\n\
       \  \"xmark_factor\": %.3f,\n\
       \  \"read_duration_s\": %.2f,\n\
       \  \"commits\": %d,\n\
       \  \"read\": [\n%s\n  ],\n\
-      \  \"commit\": [\n%s\n  ]\n\
+      \  \"commit\": [\n%s\n  ],\n\
+      \  \"publication\": [\n%s\n  ]\n\
        }\n"
-      cores factor read_duration commits
+      (git_rev ()) !quick cores factor read_duration commits
       (String.concat ",\n"
          (List.map
             (fun (readers, qps) ->
@@ -1371,6 +1442,14 @@ let serve_bench () =
                 clients always_tps group_tps (group_tps /. always_tps)
                 deferred)
             commit_rows))
+      (String.concat ",\n"
+         (List.map
+            (fun (f, nodes, bytes, ups, pub) ->
+              Printf.sprintf
+                "    { \"xmark_factor\": %g, \"nodes\": %d, \"index_bytes\": %d, \
+                 \"update_p50_us\": %.1f, \"publish_p50_us\": %.1f }"
+                f nodes bytes ups pub)
+            publication))
   in
   let oc = open_out "BENCH_serve.json" in
   output_string oc json;
@@ -1956,7 +2035,7 @@ let storage_bench () =
    (read the file, [Parser.parse], [Db.of_store]) against
    [Ingest.load] pulling SAX events straight off the file descriptor,
    on an XMark ×8 document. Three claims are measured: the streamed
-   build is marshal-bit-identical to the whole-document build; its
+   build is identical ([Db.digest]) to the whole-document build; its
    peak live major heap during the run is a fraction of the whole
    path's (the document string, the parse, and the posting-sort
    transients never exist at once); and throughput — including the
@@ -2013,7 +2092,6 @@ let ingest_bench () =
     let final = live_now () in
     (r, ms, base, !peak, final)
   in
-  let digest db = Digest.string (Marshal.to_string db [ Marshal.Closures ]) in
   let mb_s ms = float_of_int bytes /. 1e6 /. (ms /. 1e3) in
 
   (* --- whole-document path --- *)
@@ -2029,7 +2107,7 @@ let ingest_bench () =
         sample () (* document string and shredded store both live *);
         Db.of_store ~config store)
   in
-  let whole_digest = digest db_w in
+  let whole_digest = Db.digest db_w in
   let nodes = Store.live_count (Db.store db_w) in
   ignore (Sys.opaque_identity db_w : Db.t);
 
@@ -2078,7 +2156,7 @@ let ingest_bench () =
             let staging_offheap = Ingest.Builder.staging_bytes b in
             (Ingest.Builder.finish b, staging_peak, staging_offheap)))
   in
-  let stream_digest = digest db_s in
+  let stream_digest = Db.digest db_s in
   let bit_identical = String.equal whole_digest stream_digest in
   if not bit_identical then
     failwith "streamed ingest diverged from the whole-document build";
@@ -2099,7 +2177,7 @@ let ingest_bench () =
     match r with
     | Error m -> failwith ("bulk_ingest: " ^ m)
     | Ok d ->
-        let dg = digest (Durable.db d) in
+        let dg = Db.digest (Durable.db d) in
         Durable.close d;
         (dg, ms)
   in

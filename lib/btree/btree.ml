@@ -22,6 +22,7 @@ module type S = sig
      pairs, without materializing them: the streaming ingest path feeds
      a merge cursor straight into the leaf level. The resulting tree is
      identical to [of_sorted_array] on the same sequence. *)
+  val snapshot : 'a t -> 'a t
   val length : 'a t -> int
   val is_empty : 'a t -> bool
   val find : 'a t -> key -> 'a option
@@ -33,7 +34,7 @@ module type S = sig
   val iter_range : ?lo:key -> ?hi:key -> (key -> 'a -> unit) -> 'a t -> unit
 
   val iter_raw : ?lo:key -> ?hi:key -> (key array -> int -> int -> unit) -> 'a t -> unit
-  (* [iter_raw f t] walks the leaf chain calling [f keys off len] on
+  (* [iter_raw f t] walks the leaves calling [f keys off len] on
      each run of in-range key slots — no per-key closure dispatch, no
      key copying, so a scan can decode keys inline. The array is the
      live leaf storage: the callback must not mutate it or retain it
@@ -60,28 +61,50 @@ module Make (K : ORDERED) = struct
      Separator convention: child [i] of an internal node contains exactly
      the keys [k] with [ikeys.(i-1) <= k < ikeys.(i)] (missing bounds are
      infinite). Equal keys therefore descend to the right of their
-     separator. *)
+     separator.
+
+     Copy-on-write: every node carries the owner token of the tree that
+     made it, and a tree mutates only nodes carrying its current token.
+     [snapshot] hands both trees fresh tokens, so neither owns any node
+     the other can reach; the first write on either side copies its
+     root-to-leaf path. A token is a fresh [ref ()] compared with [==]:
+     no other token can equal it, including tokens unmarshalled from a
+     snapshot file (Marshal keeps sharing within one value, so a reloaded
+     tree still owns exactly the nodes it was saved with). *)
+
+  type owner = unit ref
 
   type 'a leaf = {
-    mutable lkeys : key array;
-    mutable lvals : 'a array;
+    lown : owner;
+    lkeys : key array;
+    lvals : 'a array;
     mutable ln : int;
-    mutable next : 'a leaf option;
   }
 
   type 'a node = Leaf of 'a leaf | Internal of 'a internal
 
   and 'a internal = {
-    mutable ikeys : key array;
-    mutable kids : 'a node array;
+    iown : owner;
+    ikeys : key array;
+    kids : 'a node array;
     mutable kn : int; (* number of children; separators in use = kn - 1 *)
   }
 
-  type 'a t = { mutable root : 'a node option; mutable count : int; order : int }
+  type 'a t = {
+    mutable root : 'a node option;
+    mutable count : int;
+    order : int;
+    mutable own : owner;
+  }
 
   let create ?(order = 32) () =
     if order < 4 then invalid_arg "Btree.create: order must be >= 4";
-    { root = None; count = 0; order }
+    { root = None; count = 0; order; own = ref () }
+
+  let snapshot t =
+    let s = { root = t.root; count = t.count; order = t.order; own = ref () } in
+    t.own <- ref ();
+    s
 
   let length t = t.count
   let is_empty t = t.count = 0
@@ -120,6 +143,50 @@ module Make (K : ORDERED) = struct
   let find t key = match t.root with None -> None | Some n -> find_node n key
   let mem t key = find t key <> None
 
+  (* --- Path copying --- *)
+
+  let owns t = function
+    | Leaf l -> l.lown == t.own
+    | Internal nd -> nd.iown == t.own
+
+  let copy_node t = function
+    | Leaf l ->
+        Leaf
+          {
+            lown = t.own;
+            lkeys = Array.copy l.lkeys;
+            lvals = Array.copy l.lvals;
+            ln = l.ln;
+          }
+    | Internal nd ->
+        Internal
+          {
+            iown = t.own;
+            ikeys = Array.copy nd.ikeys;
+            kids = Array.copy nd.kids;
+            kn = nd.kn;
+          }
+
+  (* Child [i] of [nd] (which [t] owns), copied into [t] first if it is
+     shared. Writers descend only through this, so every node they
+     mutate is owned. *)
+  let kid_mut t nd i =
+    let c = nd.kids.(i) in
+    if owns t c then c
+    else begin
+      let c = copy_node t c in
+      nd.kids.(i) <- c;
+      c
+    end
+
+  let root_mut t =
+    match t.root with
+    | Some r when not (owns t r) ->
+        let r = copy_node t r in
+        t.root <- Some r;
+        Some r
+    | r -> r
+
   (* --- Insertion --- *)
 
   let shift_right arr from upto =
@@ -132,14 +199,15 @@ module Make (K : ORDERED) = struct
 
   let new_leaf t ~fill_key ~fill_val =
     {
+      lown = t.own;
       lkeys = Array.make (t.order + 1) fill_key;
       lvals = Array.make (t.order + 1) fill_val;
       ln = 0;
-      next = None;
     }
 
   let new_internal t ~fill_key ~fill_kid =
     {
+      iown = t.own;
       ikeys = Array.make (t.order + 1) fill_key;
       kids = Array.make (t.order + 2) fill_kid;
       kn = 0;
@@ -154,8 +222,6 @@ module Make (K : ORDERED) = struct
     Array.blit l.lvals mid right.lvals 0 (l.ln - mid);
     right.ln <- l.ln - mid;
     l.ln <- mid;
-    right.next <- l.next;
-    l.next <- Some right;
     (right.lkeys.(0), Leaf right)
 
   let split_internal t nd =
@@ -171,7 +237,7 @@ module Make (K : ORDERED) = struct
     (sep, Internal right)
 
   (* Returns [Some (sep, right)] if the node split, plus whether a new
-     binding was added (vs. replaced). *)
+     binding was added (vs. replaced). [node] is owned by [t]. *)
   let rec insert_node t node key v =
     match node with
     | Leaf l ->
@@ -190,7 +256,7 @@ module Make (K : ORDERED) = struct
         end
     | Internal nd ->
         let i = upper_bound nd.ikeys (nd.kn - 1) key in
-        let split, added = insert_node t nd.kids.(i) key v in
+        let split, added = insert_node t (kid_mut t nd i) key v in
         (match split with
         | None -> (None, added)
         | Some (sep, right) ->
@@ -203,7 +269,7 @@ module Make (K : ORDERED) = struct
             else (None, added))
 
   let insert t key v =
-    match t.root with
+    match root_mut t with
     | None ->
         let l = new_leaf t ~fill_key:key ~fill_val:v in
         l.lkeys.(0) <- key;
@@ -287,14 +353,6 @@ module Make (K : ORDERED) = struct
             (l.lkeys.(0), Leaf l))
           sizes
       in
-      (* chain the leaves *)
-      let rec chain = function
-        | (_, Leaf a) :: ((_, Leaf b) :: _ as rest) ->
-            a.next <- Some b;
-            chain rest
-        | _ -> ()
-      in
-      chain leaves;
       (* build internal levels bottom-up; each entry carries the lowest
          key of its subtree for use as a separator *)
       let rec build level =
@@ -362,11 +420,12 @@ module Make (K : ORDERED) = struct
     | Leaf l -> l.ln < min_leaf_keys t
     | Internal nd -> nd.kn - 1 < min_internal_keys t
 
-  (* Rebalance child [i] of [nd], which has just underflowed. *)
+  (* Rebalance child [i] of [nd], which has just underflowed. [nd] and
+     child [i] are owned; a sibling is copied in before it is written. *)
   let fix_child t nd i =
     let child = nd.kids.(i) in
     let borrow_from_left li =
-      match (nd.kids.(li), child) with
+      match (kid_mut t nd li, child) with
       | Leaf left, Leaf c ->
           shift_right c.lkeys 0 c.ln;
           shift_right c.lvals 0 c.ln;
@@ -386,7 +445,7 @@ module Make (K : ORDERED) = struct
       | _ -> assert false
     in
     let borrow_from_right ri =
-      match (child, nd.kids.(ri)) with
+      match (child, kid_mut t nd ri) with
       | Leaf c, Leaf right ->
           c.lkeys.(c.ln) <- right.lkeys.(0);
           c.lvals.(c.ln) <- right.lvals.(0);
@@ -405,14 +464,14 @@ module Make (K : ORDERED) = struct
           right.kn <- right.kn - 1
       | _ -> assert false
     in
-    (* Merge children [li] and [li+1] into [li], dropping separator [li]. *)
+    (* Merge children [li] and [li+1] into [li], dropping separator [li];
+       the right one is only read. *)
     let merge li =
-      (match (nd.kids.(li), nd.kids.(li + 1)) with
+      (match (kid_mut t nd li, nd.kids.(li + 1)) with
       | Leaf left, Leaf right ->
           Array.blit right.lkeys 0 left.lkeys left.ln right.ln;
           Array.blit right.lvals 0 left.lvals left.ln right.ln;
-          left.ln <- left.ln + right.ln;
-          left.next <- right.next
+          left.ln <- left.ln + right.ln
       | Internal left, Internal right ->
           left.ikeys.(left.kn - 1) <- nd.ikeys.(li);
           Array.blit right.ikeys 0 left.ikeys left.kn (right.kn - 1);
@@ -447,12 +506,13 @@ module Make (K : ORDERED) = struct
         else false
     | Internal nd ->
         let i = upper_bound nd.ikeys (nd.kn - 1) key in
-        let removed = remove_node t nd.kids.(i) key in
-        if removed && underfull t nd.kids.(i) then fix_child t nd i;
+        let child = kid_mut t nd i in
+        let removed = remove_node t child key in
+        if removed && underfull t child then fix_child t nd i;
         removed
 
   let remove t key =
-    match t.root with
+    match root_mut t with
     | None -> false
     | Some root ->
         let removed = remove_node t root key in
@@ -466,117 +526,96 @@ module Make (K : ORDERED) = struct
         end;
         removed
 
-  (* --- Traversal --- *)
+  (* --- Traversal ---
 
-  let rec leftmost_leaf = function
-    | Leaf l -> l
-    | Internal nd -> leftmost_leaf nd.kids.(0)
+     Leaves are not chained: a chain cannot survive path copying (the
+     copy of a leaf would leave its predecessor pointing at the
+     original). Every scan instead walks a root-to-leaf stack of
+     (internal node, child index) frames: [next_leaf] pops exhausted
+     frames and descends the leftmost path of the next subtree. The
+     stack is an immutable list, so a scan position can be resumed any
+     number of times ([to_seq_range]). *)
 
-  let rec rightmost_leaf = function
-    | Leaf l -> l
-    | Internal nd -> rightmost_leaf nd.kids.(nd.kn - 1)
+  let rec leftmost node (path : ('a internal * int) list) =
+    match node with
+    | Leaf l -> (l, path)
+    | Internal nd -> leftmost nd.kids.(0) ((nd, 0) :: path)
 
-  let iter f t =
+  (* Leaf that may contain [key], by separator routing. *)
+  let rec seek node key path =
+    match node with
+    | Leaf l -> (l, path)
+    | Internal nd ->
+        let i = upper_bound nd.ikeys (nd.kn - 1) key in
+        seek nd.kids.(i) key ((nd, i) :: path)
+
+  let rec next_leaf = function
+    | [] -> None
+    | (nd, i) :: up ->
+        if i + 1 < nd.kn then Some (leftmost nd.kids.(i + 1) ((nd, i + 1) :: up))
+        else next_leaf up
+
+  (* First leaf, slot and stack of the range starting at [lo]. A start
+     slot past the leaf's end is fine: every key in the following leaves
+     is >= the separator that routed [lo] left of them. *)
+  let start root lo =
+    match lo with
+    | None ->
+        let l, path = leftmost root [] in
+        (l, 0, path)
+    | Some k ->
+        let l, path = seek root k [] in
+        (l, lower_bound l.lkeys l.ln k, path)
+
+  (* The scan every range operation shares: [run leaf off len] for each
+     leaf's run of in-range slots, in ascending order. Keys ascend across
+     leaves, so one compare against a leaf's last key decides the whole
+     leaf: pass it on whole, or finish inside it. A range scan thus costs
+     one descent plus one compare per leaf, not per key. *)
+  let scan ?lo ?hi run t =
     match t.root with
     | None -> ()
     | Some root ->
-        let rec walk l =
-          for i = 0 to l.ln - 1 do
-            f l.lkeys.(i) l.lvals.(i)
-          done;
-          match l.next with None -> () | Some next -> walk next
+        let below_hi k =
+          match hi with None -> true | Some b -> K.compare k b <= 0
         in
-        walk (leftmost_leaf root)
+        let rec walk l i path =
+          if i >= l.ln then next path
+          else if below_hi l.lkeys.(l.ln - 1) then begin
+            run l i (l.ln - i);
+            next path
+          end
+          else
+            let j =
+              match hi with None -> l.ln | Some b -> upper_bound l.lkeys l.ln b
+            in
+            if j > i then run l i (j - i)
+        and next path =
+          match next_leaf path with None -> () | Some (l, p) -> walk l 0 p
+        in
+        let l, i, path = start root lo in
+        walk l i path
+
+  let iter_range ?lo ?hi f t =
+    scan ?lo ?hi
+      (fun l off len ->
+        for j = off to off + len - 1 do
+          f l.lkeys.(j) l.lvals.(j)
+        done)
+      t
+
+  (* The callback receives each in-range slot run [(lkeys, off, len)]
+     directly: a full-leaf scan makes one call per leaf with zero
+     per-key dispatch, which lets hot scans decode byte keys inline (the
+     typed-tree scan bench). *)
+  let iter_raw ?lo ?hi f t = scan ?lo ?hi (fun l off len -> f l.lkeys off len) t
+
+  let iter f t = iter_range f t
 
   let fold f t init =
     let acc = ref init in
     iter (fun k v -> acc := f k v !acc) t;
     !acc
-
-  (* Leaf that may contain [key], by separator routing. *)
-  let rec seek_leaf node key =
-    match node with
-    | Leaf l -> l
-    | Internal nd ->
-        let i = upper_bound nd.ikeys (nd.kn - 1) key in
-        seek_leaf nd.kids.(i) key
-
-  let iter_range ?lo ?hi f t =
-    match t.root with
-    | None -> ()
-    | Some root ->
-        let start =
-          match lo with None -> leftmost_leaf root | Some k -> seek_leaf root k
-        in
-        (* Binary-search the start slot once instead of filtering every
-           leading key through an [above_lo] test. *)
-        let i0 =
-          match lo with
-          | None -> 0
-          | Some k -> lower_bound start.lkeys start.ln k
-        in
-        let below_hi k =
-          match hi with None -> true | Some b -> K.compare k b <= 0
-        in
-        (* The leaf chain is ascending, so one compare against a leaf's
-           last key decides the whole leaf: emit it compare-free and move
-           on, or finish inside it with per-key checks. Range scans thus
-           cost two descents plus one compare per *leaf*, not two
-           compares per *key*. *)
-        let rec walk l i =
-          if i >= l.ln then
-            match l.next with None -> () | Some next -> walk next 0
-          else if below_hi l.lkeys.(l.ln - 1) then begin
-            for j = i to l.ln - 1 do
-              f l.lkeys.(j) l.lvals.(j)
-            done;
-            match l.next with None -> () | Some next -> walk next 0
-          end
-          else begin
-            let j = ref i in
-            while !j < l.ln && below_hi l.lkeys.(!j) do
-              f l.lkeys.(!j) l.lvals.(!j);
-              incr j
-            done
-          end
-        in
-        walk start i0
-
-  (* Same leaf walk as [iter_range], but the callback receives each
-     in-range slot run [(lkeys, off, len)] directly: a full-leaf scan
-     makes one call per leaf with zero per-key dispatch, which lets hot
-     scans decode byte keys inline (the typed-tree scan bench). *)
-  let iter_raw ?lo ?hi f t =
-    match t.root with
-    | None -> ()
-    | Some root ->
-        let start =
-          match lo with None -> leftmost_leaf root | Some k -> seek_leaf root k
-        in
-        let i0 =
-          match lo with
-          | None -> 0
-          | Some k -> lower_bound start.lkeys start.ln k
-        in
-        let below_hi k =
-          match hi with None -> true | Some b -> K.compare k b <= 0
-        in
-        let rec walk l i =
-          if i >= l.ln then
-            match l.next with None -> () | Some next -> walk next 0
-          else if below_hi l.lkeys.(l.ln - 1) then begin
-            f l.lkeys i (l.ln - i);
-            match l.next with None -> () | Some next -> walk next 0
-          end
-          else begin
-            let j = ref i in
-            while !j < l.ln && below_hi l.lkeys.(!j) do
-              incr j
-            done;
-            if !j > i then f l.lkeys i (!j - i)
-          end
-        in
-        walk start i0
 
   let range ?lo ?hi t =
     let acc = ref [] in
@@ -587,75 +626,41 @@ module Make (K : ORDERED) = struct
     match t.root with
     | None -> Seq.empty
     | Some root ->
-        let start =
-          match lo with None -> leftmost_leaf root | Some k -> seek_leaf root k
-        in
-        let above_lo k =
-          match lo with None -> true | Some b -> K.compare k b >= 0
-        in
         let below_hi k =
           match hi with None -> true | Some b -> K.compare k b <= 0
         in
-        (* Position = (leaf, slot). Skip leading keys below [lo] once;
-           after that the chain is ascending so only the [hi] check
-           remains on each pull. *)
-        let rec pull skipping l i () =
+        let rec pull l i path () =
           if i >= l.ln then
-            match l.next with
+            match next_leaf path with
             | None -> Seq.Nil
-            | Some next -> pull skipping next 0 ()
+            | Some (l, path) -> pull l 0 path ()
           else
             let k = l.lkeys.(i) in
-            if skipping && not (above_lo k) then pull skipping l (i + 1) ()
-            else if below_hi k then
-              Seq.Cons ((k, l.lvals.(i)), pull false l (i + 1))
+            if below_hi k then Seq.Cons ((k, l.lvals.(i)), pull l (i + 1) path)
             else Seq.Nil
         in
-        pull true start 0
+        let l, i, path = start root lo in
+        pull l i path
 
+  (* Whole leaves inside the range are counted by their fill, so the
+     cost is O(log n + leaves), not O(keys in range). *)
   let count_range ?lo ?hi t =
-    match (lo, hi, t.root) with
-    | None, None, _ -> t.count
-    | _, _, None -> 0
-    | _, _, Some root ->
-        (* Whole leaves inside the range are counted by their fill, so
-           the cost is one compare per leaf plus two binary searches —
-           O(log n + leaves), not O(keys in range). *)
-        let start =
-          match lo with None -> leftmost_leaf root | Some k -> seek_leaf root k
-        in
-        let i0 =
-          match lo with
-          | None -> 0
-          | Some k -> lower_bound start.lkeys start.ln k
-        in
-        let rec walk l i acc =
-          if i >= l.ln then
-            match l.next with None -> acc | Some next -> walk next 0 acc
-          else
-            let whole =
-              match hi with
-              | None -> true
-              | Some b -> K.compare l.lkeys.(l.ln - 1) b <= 0
-            in
-            if whole then
-              let acc = acc + (l.ln - i) in
-              match l.next with None -> acc | Some next -> walk next 0 acc
-            else
-              let stop =
-                match hi with
-                | None -> l.ln
-                | Some b -> upper_bound l.lkeys l.ln b
-              in
-              acc + max 0 (stop - i)
-        in
-        walk start i0 0
+    match (lo, hi) with
+    | None, None -> t.count
+    | _ ->
+        let n = ref 0 in
+        scan ?lo ?hi (fun _ _ len -> n := !n + len) t;
+        !n
+
+  let rec rightmost_leaf = function
+    | Leaf l -> l
+    | Internal nd -> rightmost_leaf nd.kids.(nd.kn - 1)
 
   let min_binding t =
     match t.root with
     | None -> None
     | Some root ->
-        let l = leftmost_leaf root in
+        let l, _ = leftmost root [] in
         if l.ln = 0 then None else Some (l.lkeys.(0), l.lvals.(0))
 
   let max_binding t =
@@ -771,18 +776,20 @@ module Make (K : ORDERED) = struct
         try
           let _ = check root ~is_root:true ~lo:None ~hi:None in
           if !seen <> t.count then bad "count mismatch: %d vs %d" !seen t.count;
-          (* The leaf chain must enumerate exactly the in-order leaves. *)
+          (* The scan stack must enumerate exactly the in-order leaves. *)
           let in_order = List.rev !leaves_in_order in
-          let rec chain l acc =
-            match l.next with None -> List.rev (l :: acc) | Some n -> chain n (l :: acc)
+          let rec walk (l, path) acc =
+            match next_leaf path with
+            | None -> List.rev (l :: acc)
+            | Some next -> walk next (l :: acc)
           in
-          let chained = chain (leftmost_leaf root) [] in
-          if List.length chained <> List.length in_order then
-            bad "leaf chain length %d <> leaf count %d" (List.length chained)
+          let scanned = walk (leftmost root []) [] in
+          if List.length scanned <> List.length in_order then
+            bad "scan visits %d leaves, tree has %d" (List.length scanned)
               (List.length in_order);
           List.iter2
-            (fun a b -> if a != b then bad "leaf chain order mismatch")
-            chained in_order;
+            (fun a b -> if a != b then bad "scan leaf order mismatch")
+            scanned in_order;
           Ok ()
         with Bad msg -> Error msg)
 end

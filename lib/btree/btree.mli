@@ -2,10 +2,17 @@
 
     This is the index substrate of the reproduction: the paper builds its
     value indices as (clustered) B-trees inside MonetDB/XQuery. Keys live
-    in the leaves, which are chained for range scans; internal nodes hold
-    separator keys. Duplicate logical keys are supported by composing the
-    key with a discriminator (e.g. [(hash, node_id)]), which is how the
-    string index stores its posting lists.
+    in the leaves; internal nodes hold separator keys. Duplicate logical
+    keys are supported by composing the key with a discriminator (e.g.
+    [(hash, node_id)]), which is how the string index stores its posting
+    lists.
+
+    Trees are copy-on-write: {!S.snapshot} is O(1), and afterwards each
+    side copies a root-to-leaf path the first time it writes below a
+    shared node (path copying), so an epoch published to readers costs
+    nothing until the writer touches it, and then only the paths it
+    touches. Range scans walk a root-to-leaf stack rather than a leaf
+    chain, which path copying could not keep intact.
 
     The implementation favours clarity and testability: every structural
     invariant is checkable with {!S.check_invariants}, and the test suite
@@ -47,6 +54,12 @@ module type S = sig
       @raise Invalid_argument as soon as ascent is violated (the
       generator may have been consumed partway). *)
 
+  val snapshot : 'a t -> 'a t
+  (** O(1) logically independent copy. Both the result and [t] get
+      fresh owner tokens, so neither owns a node the other can reach;
+      a write on either side path-copies before it mutates. One side
+      may be written while the other is read from another domain. *)
+
   val length : 'a t -> int
   (** Number of bindings, O(1). *)
 
@@ -73,7 +86,7 @@ module type S = sig
   val iter_range : ?lo:key -> ?hi:key -> (key -> 'a -> unit) -> 'a t -> unit
   (** [iter_range ~lo ~hi f t] applies [f] to bindings with
       [lo <= k <= hi] (bounds inclusive; omitted bound = unbounded), in
-      ascending order, walking the leaf chain. *)
+      ascending order. *)
 
   val iter_raw : ?lo:key -> ?hi:key -> (key array -> int -> int -> unit) -> 'a t -> unit
   (** [iter_raw f t] walks the same range as {!iter_range} but hands
@@ -87,10 +100,11 @@ module type S = sig
   (** [iter_range] collected into a list. *)
 
   val to_seq_range : ?lo:key -> ?hi:key -> 'a t -> (key * 'a) Seq.t
-  (** [iter_range] as an on-demand sequence over the leaf chain — the
-      substrate of the index posting cursors: consumers pull one binding
-      at a time instead of materializing the range. The sequence reads
-      the live tree; do not mutate the tree while consuming it. *)
+  (** [iter_range] as an on-demand sequence — the substrate of the
+      index posting cursors: consumers pull one binding at a time
+      instead of materializing the range. The sequence reads the live
+      tree; do not mutate the tree while consuming it (a {!snapshot}
+      taken first may be mutated freely). *)
 
   val count_range : ?lo:key -> ?hi:key -> 'a t -> int
   (** Number of bindings in the (inclusive) range, without building a
@@ -113,8 +127,9 @@ module type S = sig
 
   val check_invariants : 'a t -> (unit, string) result
   (** Verifies: key ordering within and across nodes, separator
-      correctness, occupancy bounds, uniform leaf depth, leaf-chain
-      completeness, and the cached length. *)
+      correctness, occupancy bounds, uniform leaf depth, that the scan
+      stack visits exactly the in-order leaves, and the cached
+      length. *)
 end
 
 module Make (K : ORDERED) : S with type key = K.t

@@ -127,8 +127,9 @@ let sweep ?(flips = 128) ?all_offsets ?truncations:trunc_cap db =
    of the scan logic: the live run records the log size after each
    commit, and a crash at byte [c] commits exactly the operations whose
    recorded size is <= c. Recovery must then produce a database whose
-   marshalled bytes are identical to the oracle's, twice over (reopening
-   the recovered directory must change nothing — idempotency). *)
+   logical digest ({!Db.digest}) equals the oracle's, twice over
+   (reopening the recovered directory must change nothing —
+   idempotency). *)
 
 type wal_op =
   | W_batch of (Store.node * string) list
@@ -136,8 +137,6 @@ type wal_op =
   | W_delete of Store.node
 
 type wal_report = { crash_points : int; wal_flips : int; commits : int }
-
-let db_digest db = Digest.string (Marshal.to_string db [ Marshal.Closures ])
 
 let rec take n = function
   | [] -> []
@@ -188,7 +187,7 @@ let oracle_rebuild snap_path ops k =
               | Error _ -> failwith "wal_sweep: oracle insert rejected")
           | W_delete n -> Db.delete_subtree db n)
         (take k ops);
-      db_digest db
+      Db.digest db
 
 let wal_sweep ?crash_points ?(wal_flips = 128) db batches =
   let batches = List.filter (fun b -> b <> []) batches in
@@ -269,7 +268,7 @@ let wal_sweep ?crash_points ?(wal_flips = 128) db batches =
         | Error m ->
             fail (Printf.sprintf "recovery failed on %s: %s" what m)
         | Ok t ->
-            let d1 = db_digest (Durable.db t) in
+            let d1 = Db.digest (Durable.db t) in
             Durable.close t;
             if d1 <> oracle_digest expect then
               fail
@@ -281,7 +280,7 @@ let wal_sweep ?crash_points ?(wal_flips = 128) db batches =
               | Error m ->
                   fail (Printf.sprintf "second recovery failed on %s: %s" what m)
               | Ok t2 ->
-                  let d2 = db_digest (Durable.db t2) in
+                  let d2 = Db.digest (Durable.db t2) in
                   Durable.close t2;
                   if d2 <> d1 then
                     fail
@@ -507,7 +506,7 @@ let serve_sweep ?crash_points ?(sessions = 3) db batches =
         match Durable.open_ crash with
         | Error m -> fail (Printf.sprintf "recovery failed on %s: %s" what m)
         | Ok t ->
-            let d1 = db_digest (Durable.db t) in
+            let d1 = Db.digest (Durable.db t) in
             Durable.close t;
             if d1 <> oracle_digest expect then
               fail
@@ -519,7 +518,7 @@ let serve_sweep ?crash_points ?(sessions = 3) db batches =
               | Error m ->
                   fail (Printf.sprintf "second recovery failed on %s: %s" what m)
               | Ok t2 ->
-                  let d2 = db_digest (Durable.db t2) in
+                  let d2 = Db.digest (Durable.db t2) in
                   Durable.close t2;
                   if d2 <> d1 then
                     fail (Printf.sprintf "recovery is not idempotent on %s" what))
@@ -748,7 +747,7 @@ let repl_sweep ?cut_points ?stream_flips:flip_cap ?follower_crashes:crash_cap
         match Durable.open_ dir with
         | Error m -> Error (Printf.sprintf "recovery failed on %s: %s" what m)
         | Ok t ->
-            let d = db_digest (Durable.db t) in
+            let d = Db.digest (Durable.db t) in
             Durable.close t;
             Ok d
       in
@@ -1077,7 +1076,7 @@ let repl_sweep ?cut_points ?stream_flips:flip_cap ?follower_crashes:crash_cap
      chunks whose commit boundary survived the cut held as pending —
      and is idempotent about it;
    - resume_ingest over the original document converges to a database
-     marshal-bit-identical to the serial whole-document build — no
+     digest-identical to the serial whole-document build — no
      matter where the crash cut;
    - the completed directory (live or resumed) reopens to that same
      digest, which doubles as the streamed-vs-whole differential. *)
@@ -1105,8 +1104,8 @@ let ingest_sweep ?crash_points ?(ingest_flips = 64) ?(batch_rows = 16) doc =
   | Error e ->
       Error ("ingest_sweep: document: " ^ Xvi_xml.Parser.error_to_string e)
   | Ok store ->
-      let full_digest = db_digest (Db.of_store store) in
-      let empty_digest = db_digest (Db.of_store (Store.create ())) in
+      let full_digest = Db.digest (Db.of_store store) in
+      let empty_digest = Db.digest (Db.of_store (Store.create ())) in
       let base = fresh_dir "xvi_ingest_base" in
       let crash = fresh_dir "xvi_ingest_crash" in
       Fun.protect
@@ -1135,7 +1134,7 @@ let ingest_sweep ?crash_points ?(ingest_flips = 64) ?(batch_rows = 16) doc =
            with
           | Error m -> failwith ("ingest_sweep: live ingest failed: " ^ m)
           | Ok t ->
-              let d = db_digest (Durable.db t) in
+              let d = Db.digest (Durable.db t) in
               Durable.close t;
               if d <> full_digest then
                 failwith
@@ -1144,7 +1143,7 @@ let ingest_sweep ?crash_points ?(ingest_flips = 64) ?(batch_rows = 16) doc =
           (match Durable.open_ base with
           | Error m -> failwith ("ingest_sweep: reopen failed: " ^ m)
           | Ok t ->
-              let d = db_digest (Durable.db t) in
+              let d = Db.digest (Durable.db t) in
               let pending = Durable.pending_ingest t in
               Durable.close t;
               (match pending with
@@ -1183,7 +1182,7 @@ let ingest_sweep ?crash_points ?(ingest_flips = 64) ?(batch_rows = 16) doc =
             match Durable.open_ crash with
             | Error m -> fail (Printf.sprintf "recovery failed on %s: %s" what m)
             | Ok t -> (
-                let d1 = db_digest (Durable.db t) in
+                let d1 = Db.digest (Durable.db t) in
                 let chunks1 =
                   match Durable.pending_ingest t with
                   | None -> 0
@@ -1212,7 +1211,7 @@ let ingest_sweep ?crash_points ?(ingest_flips = 64) ?(batch_rows = 16) doc =
                         (Printf.sprintf "second recovery failed on %s: %s" what
                            m)
                   | Ok t2 -> (
-                      let d2 = db_digest (Durable.db t2) in
+                      let d2 = Db.digest (Durable.db t2) in
                       let chunks2 =
                         match Durable.pending_ingest t2 with
                         | None -> 0
@@ -1233,7 +1232,7 @@ let ingest_sweep ?crash_points ?(ingest_flips = 64) ?(batch_rows = 16) doc =
                             fail
                               (Printf.sprintf "resume failed on %s: %s" what m)
                         | Ok t3 ->
-                            let d3 = db_digest (Durable.db t3) in
+                            let d3 = Db.digest (Durable.db t3) in
                             Durable.close t3;
                             if d3 <> full_digest then
                               fail
@@ -1249,7 +1248,7 @@ let ingest_sweep ?crash_points ?(ingest_flips = 64) ?(batch_rows = 16) doc =
                                        "post-resume reopen failed on %s: %s"
                                        what m)
                               | Ok t4 ->
-                                  let d4 = db_digest (Durable.db t4) in
+                                  let d4 = Db.digest (Durable.db t4) in
                                   Durable.close t4;
                                   if d4 <> full_digest then
                                     fail

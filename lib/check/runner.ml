@@ -466,11 +466,11 @@ let run ?(config = default_config) ?(log = fun _ -> ()) ~seed ~docs ~ops_per_doc
    writer commits a scripted sequence of text batches. Every pin is
    checked two ways:
 
-   - bit identity: the pinned database's marshalled bytes must equal
-     those of an oracle replica that replayed exactly the first
-     [pin.commits] scripted batches through the same Txn path, copied
-     and plane-forced the same way publication does — an epoch is the
-     whole committed prefix, never a torn or partial state;
+   - identity: the pinned database's logical digest ({!Db.digest})
+     must equal that of an oracle replica that replayed exactly the
+     first [pin.commits] scripted batches through the same Txn path —
+     an epoch is the whole committed prefix, never a torn or partial
+     state;
    - self-consistency: query families answered on the pinned database
      are compared against {!Oracle} over its own store.
 
@@ -480,6 +480,11 @@ let run ?(config = default_config) ?(log = fun _ -> ()) ~seed ~docs ~ops_per_doc
 
 module Engine = Xvi_serve.Engine
 
+type concurrent_op =
+  | C_texts of (Store.node * string) list
+  | C_insert of { parent : Store.node; fragment : string; roots : Store.node list }
+  | C_delete of Store.node
+
 type concurrent_outcome = {
   readers : int;
   reads : int;
@@ -487,12 +492,6 @@ type concurrent_outcome = {
   epochs : int;
 }
 
-let pub_digest db =
-  (* exactly what publication does: deep copy, force the plane, hash the
-     marshalled bytes — so oracle and epoch digests are comparable *)
-  let c = Db.copy db in
-  ignore (Db.plane c : Xvi_xml.Pre_plane.t);
-  Digest.string (Marshal.to_string c [ Marshal.Closures ])
 
 let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
     ~seed ~readers ~commits () =
@@ -521,52 +520,101 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
     let master = pick 50 in
     let replica = Db.copy master in
     let ls = leaves (Db.store master) in
-    (* the whole write script is fixed before any domain starts *)
-    let batches =
-      List.init commits (fun k ->
-          let width = 1 + Prng.int rng 3 in
-          List.init width (fun j ->
-              let n = ls.(Prng.int rng (Array.length ls)) in
-              let v =
-                if (k + j) mod 3 = 0 then Printf.sprintf "%d.%d" k j
-                else Printf.sprintf "c%d-w%d" k j
-              in
-              (n, v)))
+    (* elements of the generated document: insert parents and scopes;
+       only inserted subtrees are ever deleted, so these stay live *)
+    let elements =
+      eligible (Db.store master) (fun n ->
+          Store.kind (Db.store master) n = Store.Element)
     in
-    (* oracle digests for every commit prefix, replayed on the replica
-       through the same Txn path the engine's writer uses *)
+    (* The whole write script is fixed before any domain starts, by
+       replaying it on the replica through the same public paths the
+       engine's writer takes (Txn for text batches, Db for structure):
+       every fourth commit is structural, alternating an insert with the
+       delete of the newest inserted subtree. Oracle digests for every
+       commit prefix are taken along the way. *)
     let expected = Array.make (commits + 1) "" in
-    expected.(0) <- pub_digest replica;
+    expected.(0) <- Db.digest replica;
     let omgr = Txn.manager replica in
-    List.iteri
-      (fun i writes ->
-        let tx = Txn.begin_ omgr in
-        List.iter
-          (fun (n, v) ->
-            match Txn.update_text tx n v with
-            | Ok () -> ()
-            | Error _ -> failf "run_concurrent: oracle stage rejected")
-          writes;
-        (match Txn.commit tx with
-        | Ok () -> ()
-        | Error _ -> failf "run_concurrent: oracle commit conflicted");
-        expected.(i + 1) <- pub_digest replica)
-      batches;
+    let inserted = ref [] in
+    let script = ref [] in
+    for k = 0 to commits - 1 do
+      let op =
+        if k mod 4 <> 3 then begin
+          let width = 1 + Prng.int rng 3 in
+          let writes =
+            List.init width (fun j ->
+                let n = ls.(Prng.int rng (Array.length ls)) in
+                let v =
+                  if (k + j) mod 3 = 0 then Printf.sprintf "%d.%d" k j
+                  else Printf.sprintf "c%d-w%d" k j
+                in
+                (n, v))
+          in
+          let tx = Txn.begin_ omgr in
+          List.iter
+            (fun (n, v) ->
+              match Txn.update_text tx n v with
+              | Ok () -> ()
+              | Error _ -> failf "run_concurrent: oracle stage rejected")
+            writes;
+          (match Txn.commit tx with
+          | Ok () -> ()
+          | Error _ -> failf "run_concurrent: oracle commit conflicted");
+          C_texts writes
+        end
+        else
+          match !inserted with
+          | root :: rest when k mod 8 = 7 ->
+              Db.delete_subtree replica root;
+              inserted := rest;
+              C_delete root
+          | _ -> (
+              let parent =
+                if Array.length elements = 0 then Store.document
+                else Prng.choose rng elements
+              in
+              let fragment = Gen.fragment rng in
+              match Db.insert_xml replica ~parent fragment with
+              | Ok roots ->
+                  inserted := List.rev_append roots !inserted;
+                  C_insert { parent; fragment; roots }
+              | Error _ -> failf "run_concurrent: oracle insert rejected")
+      in
+      script := op :: !script;
+      expected.(k + 1) <- Db.digest replica
+    done;
+    let script = List.rev !script in
     let engine =
       match Engine.open_ (Engine.Memory master) with
       | Ok e -> e
       | Error e -> failf "run_concurrent: %s" (Engine.error_to_string e)
     in
     (* Pin the pre-write epoch and hold it across the whole run: with
-       chunked copy-on-write the writer mutates chunks this pin shares,
-       so its bytes after every commit has landed must still be the
-       0-commit prefix, bit for bit. *)
+       copy-on-write columns and trees the writer mutates chunks and
+       nodes this pin shares, so after every commit has landed its
+       digest must still be the 0-commit prefix, and its answers —
+       named elements, lookups, and scoped queries through the plane —
+       exactly those it gave at pin time. *)
     let pin0 = Engine.pin engine in
-    let pin0_digest =
-      Digest.string (Marshal.to_string pin0.Engine.db [ Marshal.Closures ])
-    in
+    let pin0_digest = Db.digest pin0.Engine.db in
     if pin0_digest <> expected.(pin0.Engine.commits) then
       failf "pre-write pin is not the %d-commit prefix" pin0.Engine.commits;
+    let probes =
+      List.filteri (fun i _ -> i < 3)
+        (List.map (Store.text (Db.store master)) (Array.to_list ls))
+    in
+    let scopes = List.filteri (fun i _ -> i < 3) (Array.to_list elements) in
+    let answers db =
+      List.map (Db.elements_named db) (Array.to_list Gen.names)
+      @ List.map (Db.lookup_string db) probes
+      @ List.concat_map
+          (fun scope ->
+            Db.lookup_double_within db ~scope Db.Range.any
+            :: Db.query db (Db.Ir.within ~scope (Db.Ir.named Gen.names.(0)))
+            :: List.map (Db.lookup_string_within db ~scope) probes)
+          scopes
+    in
+    let pin0_answers = answers pin0.Engine.db in
     let total_reads = Atomic.make 0 in
     let writer_done = Atomic.make false in
     let reader idx =
@@ -588,7 +636,7 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
           failf "reader %d: pinned %d commits of a %d-commit script" idx
             pin.Engine.commits commits;
         let d =
-          Digest.string (Marshal.to_string pin.Engine.db [ Marshal.Closures ])
+          Db.digest pin.Engine.db
         in
         if d <> expected.(pin.Engine.commits) then
           failf "reader %d: epoch %d is not the scripted %d-commit prefix" idx
@@ -608,6 +656,21 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
           ~what:(Printf.sprintf "reader %d elements_named %S" idx nm)
           (Oracle.elements_named store nm)
           (Db.elements_named db nm);
+        (* scoped reads go through the epoch's plane, which it shares
+           with the master until a structural commit *)
+        let scopes =
+          eligible store (fun n -> Store.kind store n = Store.Element)
+        in
+        if Array.length scopes > 0 && Array.length pls > 0 then begin
+          let scope = Prng.choose rng scopes in
+          let probe = Store.text store (Prng.choose rng pls) in
+          compare_lists
+            ~what:
+              (Printf.sprintf "reader %d lookup_string_within %d %S" idx scope
+                 probe)
+            (Oracle.lookup_string_within store ~scope probe)
+            (Db.lookup_string_within db ~scope probe)
+        end;
         compare_lists
           ~what:(Printf.sprintf "reader %d lookup_double any" idx)
           (Oracle.lookup_typed store (Lexical_types.double ()) Db.Range.any)
@@ -634,24 +697,43 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
     in
     let doms = List.init readers (fun idx -> Domain.spawn (fun () -> reader idx)) in
     let stall_failed = ref false in
-    let stall_at = commits / 2 in
-    let writer_commit k writes =
-      let tx = Engine.begin_ engine in
-      List.iter
-        (fun (n, v) ->
-          match Txn.update_text tx n v with
-          | Ok () -> ()
-          | Error _ -> failf "writer: stage of commit %d rejected" k)
-        writes;
-      match Engine.submit engine tx with
-      | Ok _ -> ()
-      | Error e ->
-          failf "writer: commit %d rejected: %s" k (Engine.error_to_string e)
+    (* the stall hook fires inside a text commit; never pick a
+       structural slot for it *)
+    let stall_at =
+      let k = commits / 2 in
+      if k mod 4 = 3 then k - 1 else k
+    in
+    let rejected k e =
+      failf "writer: commit %d rejected: %s" k (Engine.error_to_string e)
+    in
+    let writer_commit k = function
+      | C_texts writes -> (
+          let tx = Engine.begin_ engine in
+          List.iter
+            (fun (n, v) ->
+              match Txn.update_text tx n v with
+              | Ok () -> ()
+              | Error _ -> failf "writer: stage of commit %d rejected" k)
+            writes;
+          match Engine.submit engine tx with
+          | Ok _ -> ()
+          | Error e -> rejected k e)
+      | C_insert { parent; fragment; roots } -> (
+          match Engine.insert_xml engine ~parent fragment with
+          | Ok (got, _) ->
+              if got <> roots then
+                failf "writer: insert %d made roots %s, the oracle %s" k
+                  (show_nodes got) (show_nodes roots)
+          | Error e -> rejected k e)
+      | C_delete root -> (
+          match Engine.delete_subtree engine root with
+          | Ok _ -> ()
+          | Error e -> rejected k e)
     in
     let werr = ref None in
     (try
        List.iteri
-         (fun k writes ->
+         (fun k op ->
            if k = stall_at then
              Engine.set_commit_stall engine
                (Some
@@ -670,20 +752,21 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
                       end
                     in
                     wait ()));
-           writer_commit k writes;
+           writer_commit k op;
            if k = stall_at then Engine.set_commit_stall engine None
            else Unix.sleepf 0.0002)
-         batches
+         script
      with Check_failed m -> werr := Some m);
     Atomic.set writer_done true;
     let results = List.map Domain.join doms in
-    let pin0_after =
-      Digest.string (Marshal.to_string pin0.Engine.db [ Marshal.Closures ])
-    in
-    if pin0_after <> pin0_digest then
+    if Db.digest pin0.Engine.db <> pin0_digest then
       failf
         "pinned pre-write epoch changed under the writer — a copy-on-write \
-         chunk was mutated while shared";
+         chunk or tree node was mutated while shared";
+    if answers pin0.Engine.db <> pin0_answers then
+      failf
+        "pinned pre-write epoch answers differently after the structural \
+         commits — its plane or name index moved under it";
     Engine.close engine;
     match !werr with
     | Some m -> Error m

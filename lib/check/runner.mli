@@ -53,25 +53,29 @@ val render_trace : failure -> string
 
     {!run_concurrent} serves a generated document through
     {!Xvi_serve.Engine} and races [readers] reader domains against the
-    single writer while it commits a scripted sequence of text batches.
-    Each reader repeatedly pins an epoch and checks it two ways: the
-    pinned database's marshalled bytes must be {e bit-identical} to an
-    oracle replica that replayed exactly the first [pin.commits]
-    scripted batches (an epoch is always a whole committed prefix, never
-    torn), and several query families on the pinned database must agree
-    with {!Oracle} over its own store. Epoch and commit counters must
-    never move backwards within a reader.
+    single writer while it commits a scripted sequence: text batches,
+    with every fourth commit structural (an inserted fragment, or the
+    delete of an inserted subtree). Each reader repeatedly pins an epoch
+    and checks it two ways: the pinned database's logical digest
+    ({!Xvi_core.Db.digest}) must equal that of an oracle replica that
+    replayed exactly the first [pin.commits] scripted commits (an epoch
+    is always a whole committed prefix, never torn), and several query
+    families on the pinned database — scoped lookups through its plane
+    among them — must agree with {!Oracle} over its own store. Epoch and
+    commit counters must never move backwards within a reader.
 
     Midway through the script the writer {e stalls inside a commit},
     holding the writer lock, and refuses to continue until every reader
     has made further progress — so a run that returns [Ok] has
     witnessed, not assumed, that no read ever blocks on the writer.
 
-    The run forces small store-column chunks
+    The run forces small column chunks
     ({!Xvi_util.Bigvec.with_chunk_log_for_testing}) so the scripted
     writes cross many chunk boundaries, and holds one pre-write pin
-    across the entire script: its re-digest at the end proves the
-    chunked copy-on-write never mutated a shared chunk in place. *)
+    across the entire script: at the end its digest, and its answers to
+    name, lookup and scoped queries, must be exactly those at pin time —
+    no copy-on-write chunk, tree node, shared plane or name-index entry
+    was changed in place under it. *)
 
 type concurrent_outcome = {
   readers : int;  (** reader domains raced *)
@@ -88,6 +92,6 @@ val run_concurrent :
   commits:int ->
   unit ->
   (concurrent_outcome, string) result
-(** Race [readers] domains against a [commits]-batch writer over a
+(** Race [readers] domains against a [commits]-commit writer over a
     document generated from [seed]. [Error] carries the first
     divergence, ordering violation, or the blocked-reader verdict. *)

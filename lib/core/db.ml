@@ -37,11 +37,11 @@ let build ~config ?pool store =
   (* one Figure 7 pass computes the fields of every index (paper §5:
      "creating ... multiple defined indices can be done simultaneously
      with only one pass") *)
-  let hash_fields = Indexer.empty_fields Indexer.hash_ops store in
+  let hash_fields = Indexer.empty_fields Indexer.hash_ops in
   let typed_fields =
     List.map
       (fun spec ->
-        (spec, Indexer.empty_fields (Indexer.sct_ops spec.Lexical_types.sct) store))
+        (spec, Indexer.empty_fields (Indexer.sct_ops spec.Lexical_types.sct)))
       config.Config.types
   in
   Indexer.create_multi ?pool store
@@ -94,53 +94,107 @@ let of_xml ?config src =
 let of_xml_exn ?config src = of_store ?config (Parser.parse_exn src)
 
 (* The database splits into the off-heap columnar store and its
-   GC-heap "shell" (configuration plus the indexes). The split is what
-   both replication paths ride on: [copy] snapshots the store
-   copy-on-write and round-trips only the shell through [Marshal], and
-   [Snapshot] serialises the store through its raw columnar codec with
-   the shell marshalled alongside. *)
+   GC-heap "shell" (configuration plus the indexes). [Snapshot]
+   serialises the store through its raw columnar codec and marshals the
+   shell alongside. The shell holds each index's persisted image: index
+   columns at their logical length, not as whole off-heap chunks. The
+   name index is not stored at all — it is one pass over the store, so
+   [reconstruct] rebuilds it. *)
 type shell = {
   sh_config : Config.t;
-  sh_strings : String_index.t;
-  sh_typed : Typed_index.t list;
+  sh_strings : String_index.image;
+  sh_typed : Typed_index.image list;
   sh_substring : Substring_index.t option;
-  sh_names : Name_index.t;
 }
 
 let deconstruct t =
   ( t.store,
     {
       sh_config = t.config;
-      sh_strings = t.strings;
-      sh_typed = t.typed;
+      sh_strings = String_index.to_image t.strings;
+      sh_typed = List.map Typed_index.to_image t.typed;
       sh_substring = t.substring;
-      sh_names = t.names;
     } )
 
 let reconstruct store shell =
   {
     store;
     config = shell.sh_config;
-    strings = shell.sh_strings;
-    typed = shell.sh_typed;
+    strings = String_index.of_image shell.sh_strings;
+    typed = List.map Typed_index.of_image shell.sh_typed;
     substring = shell.sh_substring;
-    names = shell.sh_names;
+    names = Name_index.create store;
     plane = None;
   }
 
-(* A deep, fully independent replica. The store is an O(chunks)
-   copy-on-write snapshot — epoch publication no longer deep-copies the
-   columns — while the shell still round-trips through [Marshal] with
-   [Closures] (the typed specs carry parse closures), the exact byte
-   path [Snapshot] trusts for persistence. *)
+(* Epoch publication by structural sharing: the store and every index
+   column are chunked copy-on-write vectors and every index tree is a
+   path-copying B+tree, so the copy is O(chunk tables) and each side
+   pays only for what it writes next. The plane is immutable and stays
+   valid under value updates, so the copy shares the cached one; a
+   structural update on either side drops only that side's cache. *)
 let copy t =
-  let store = Store.snapshot t.store in
-  let _, shell = deconstruct t in
-  let shell =
-    (Marshal.from_string (Marshal.to_string shell [ Marshal.Closures ]) 0
-      : shell)
+  {
+    store = Store.snapshot t.store;
+    config = t.config;
+    strings = String_index.snapshot t.strings;
+    typed = List.map Typed_index.snapshot t.typed;
+    substring = Option.map Substring_index.snapshot t.substring;
+    names = Name_index.snapshot t.names;
+    plane = t.plane;
+  }
+
+(* A digest of the logical state: every live node's kind, links, name
+   and text, then each index's own logical digest. Equal content digests
+   equally whatever the copy history — unlike marshalled bytes, which
+   carry owner tokens and chunk-sharing flags. *)
+let digest t =
+  let store = t.store in
+  let b = Buffer.create 4096 in
+  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let add_opt o = add_int (Option.value o ~default:(-1)) in
+  let add_str s =
+    add_int (String.length s);
+    Buffer.add_string b s
   in
-  reconstruct store shell
+  add_int (Store.node_range store);
+  for n = 0 to Store.node_range store - 1 do
+    let k = Store.kind store n in
+    Buffer.add_char b
+      (match k with
+      | Store.Document -> 'D'
+      | Store.Element -> 'E'
+      | Store.Text -> 'T'
+      | Store.Attribute -> 'A'
+      | Store.Comment -> 'C'
+      | Store.Pi -> 'P'
+      | Store.Deleted -> 'x');
+    if k <> Store.Deleted then begin
+      add_opt (Store.parent store n);
+      add_opt (Store.first_child store n);
+      add_opt (Store.last_child store n);
+      add_opt (Store.next_sibling store n);
+      add_opt (Store.prev_sibling store n);
+      add_opt (Store.first_attribute store n);
+      (match k with
+      | Store.Element | Store.Attribute | Store.Pi -> add_str (Store.name store n)
+      | _ -> ());
+      match k with
+      | Store.Text | Store.Attribute | Store.Comment | Store.Pi ->
+          add_str (Store.text store n)
+      | _ -> ()
+    end
+  done;
+  List.iter
+    (fun spec -> add_str spec.Lexical_types.type_name)
+    t.config.Config.types;
+  Buffer.add_string b (String_index.digest t.strings store);
+  List.iter (fun ti -> Buffer.add_string b (Typed_index.digest ti store)) t.typed;
+  (match t.substring with
+  | None -> Buffer.add_char b '-'
+  | Some si -> Buffer.add_string b (Substring_index.digest si));
+  Buffer.add_string b (Name_index.digest t.names store);
+  Digest.string (Buffer.contents b)
 
 let store t = t.store
 let config t = t.config

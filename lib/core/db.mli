@@ -66,8 +66,8 @@ val assemble :
 (** Assemble a database from components a streaming builder produced
     ([Xvi_ingest]): [typed] must be in [config.types] order. The
     store-derived parts ([Name_index], the optional substring index)
-    are built here. When the components are marshal-identical to what
-    the serial [of_store] pass builds, so is the database. *)
+    are built here. When the components are identical to what the
+    serial [of_store] pass builds, so is the database ({!digest}). *)
 
 val of_xml : ?config:Config.t -> string -> (t, Xvi_xml.Parser.error) result
 (** Shred an XML document and index it. *)
@@ -78,18 +78,33 @@ val of_xml_exn : ?config:Config.t -> string -> t
      and handle the Error case"]
 
 val copy : t -> t
-(** A logically independent replica: the off-heap store is snapshotted
-    copy-on-write (O(chunks), sharing column chunks until either side
-    writes), and the indexes round-trip through a marshal of the heap
-    shell. One side can be mutated while the other is read from another
-    domain; this is how {!Xvi_serve.Engine} publishes immutable epochs
-    without deep-copying whole columns per commit. *)
+(** A logically independent replica in O(chunk tables), with no
+    serialisation: the off-heap store and every index column are
+    snapshotted copy-on-write (chunks shared until either side writes
+    one), every index B+tree is snapshotted by path copying, and the
+    cached {!plane} is shared (it is immutable, and value updates keep
+    it valid). One side can be mutated while the other is read from
+    another domain; this is how {!Xvi_serve.Engine} publishes epochs, at
+    a cost proportional to what the next commit writes rather than to
+    the index size. *)
+
+val digest : t -> string
+(** A digest of the logical state: every live node's kind, links, name
+    and text; the sorted postings of the string, substring and name
+    indices; each typed index's value-tree keys and viable count; and
+    the hash and SCT fields and typed keys of every live indexed node.
+    Two databases with the same content have the same digest whatever
+    their copy history — marshalled bytes would differ with owner
+    tokens and chunk-sharing flags. The crash, replication and
+    concurrency sweeps compare states with it. *)
 
 type shell
-(** The GC-heap half of a database: configuration plus every index —
-    everything except the off-heap columnar store. Marshals with
-    closures; {!Snapshot} persists it alongside the store's raw columnar
-    blob. *)
+(** The GC-heap half of a database: configuration plus every index's
+    persisted image ({!String_index.image}, {!Typed_index.image}) —
+    everything except the off-heap columnar store. Index columns are
+    held at their logical length; the name index is rebuilt from the
+    store by {!reconstruct}. Marshals with closures; {!Snapshot}
+    persists it alongside the store's raw columnar blob. *)
 
 val deconstruct : t -> Xvi_xml.Store.t * shell
 val reconstruct : Xvi_xml.Store.t -> shell -> t

@@ -1,5 +1,5 @@
 module Store = Xvi_xml.Store
-module Vec = Xvi_util.Vec
+module Bigvec = Xvi_util.Bigvec
 
 type 'f ops = {
   field_name : string;
@@ -7,6 +7,8 @@ type 'f ops = {
   combine : 'f -> 'f -> 'f;
   identity : 'f;
   equal : 'f -> 'f -> bool;
+  to_int : 'f -> int;
+  of_int : int -> 'f;
 }
 
 let hash_ops =
@@ -16,6 +18,8 @@ let hash_ops =
     combine = Hash.combine;
     identity = Hash.empty;
     equal = Hash.equal;
+    to_int = Hash.to_int;
+    of_int = Hash.of_int;
   }
 
 let sct_ops sct =
@@ -25,30 +29,32 @@ let sct_ops sct =
     combine = Sct.compose sct;
     identity = Sct.identity sct;
     equal = Int.equal;
+    to_int = Fun.id;
+    of_int = Fun.id;
   }
 
-type 'f fields = { vec : 'f Vec.Poly.t; default : 'f }
+(* Every field kind is an int (a 32-bit hash or an SCT state), so the
+   column is an off-heap copy-on-write int vector: the GC never scans
+   it, and [snapshot] shares its chunks with the published epoch. *)
+type 'f fields = { col : Bigvec.Int.t; fops : 'f ops }
 
-let make_fields ops capacity =
-  {
-    vec = Vec.Poly.create ~capacity:(max capacity 16) ~dummy:ops.identity ();
-    default = ops.identity;
-  }
+let empty_fields ops = { col = Bigvec.Int.create (); fops = ops }
 
-let get f n = if n < Vec.Poly.length f.vec then Vec.Poly.get f.vec n else f.default
+let get f n =
+  if n < Bigvec.Int.length f.col then f.fops.of_int (Bigvec.Int.get f.col n)
+  else f.fops.identity
 
 let set f n v =
-  while Vec.Poly.length f.vec <= n do
-    Vec.Poly.push f.vec f.default
+  let id = f.fops.to_int f.fops.identity in
+  while Bigvec.Int.length f.col <= n do
+    Bigvec.Int.push f.col id
   done;
-  Vec.Poly.set f.vec n v
+  Bigvec.Int.set f.col n (f.fops.to_int v)
 
-let alloc_fields ops ~capacity = make_fields ops capacity
+let snapshot f = { f with col = Bigvec.Int.snapshot f.col }
+let export f = Bigvec.Int.to_array f.col
 
-let fold_all fn f init =
-  let acc = ref init in
-  Vec.Poly.iteri (fun n v -> acc := fn n v !acc) f.vec;
-  !acc
+let import ops a = { col = Bigvec.Int.of_array a; fops = ops }
 
 (* Combine the fields of [n]'s live children in document order, walking
    sibling links directly (no list allocation — this is the inner loop
@@ -159,7 +165,7 @@ let drive_create store ~on_text ~on_combine =
   drive_attributes store 0 (Store.node_range store) ~on_text
 
 let create ops store =
-  let fields = make_fields ops (Store.node_range store) in
+  let fields = empty_fields ops in
   drive_create store
     ~on_text:(fun n txt -> set fields n (ops.of_text txt))
     ~on_combine:(fun ~parent ~child ->
@@ -167,8 +173,6 @@ let create ops store =
   fields
 
 type packed = Packed : 'f ops * 'f fields -> packed
-
-let empty_fields ops store = make_fields ops (Store.node_range store)
 
 let create_multi_serial store packs =
   let on_texts =
@@ -222,7 +226,7 @@ let create_multi_parallel pool store packs =
           {
             ops;
             target;
-            locals = Array.init jobs (fun _ -> make_fields ops range);
+            locals = Array.init jobs (fun _ -> empty_fields ops);
           })
       packs
   in
@@ -291,7 +295,7 @@ let create_multi ?pool store packs =
 (* --- Reference computation (tests) --- *)
 
 let create_reference (type f) (ops : f ops) store =
-  let fields = make_fields ops (Store.node_range store) in
+  let fields = empty_fields ops in
   let rec go n =
     match Store.kind store n with
     | Store.Text ->

@@ -21,6 +21,10 @@ type 'f ops = {
   combine : 'f -> 'f -> 'f;  (** [C] or the SCT probe *)
   identity : 'f;
   equal : 'f -> 'f -> bool;
+  to_int : 'f -> int;
+  of_int : int -> 'f;
+      (** every field kind is an int underneath; the column stores that
+          int ([of_int (to_int f) = f]) *)
 }
 
 val hash_ops : Hash.t ops
@@ -30,7 +34,18 @@ val sct_ops : Sct.t -> int ops
 (** The typed-index instance for a given state combination table. *)
 
 type 'f fields
-(** Per-node field storage, indexed by node id, growable. *)
+(** Per-node field storage, indexed by node id, growable: an off-heap
+    copy-on-write int column ({!Xvi_util.Bigvec.Int}). *)
+
+val snapshot : 'f fields -> 'f fields
+(** O(chunk table) logical copy; both sides clone a shared chunk on
+    their next write to it. *)
+
+val export : 'f fields -> int array
+(** The column at its logical length — the persisted form. *)
+
+val import : 'f ops -> int array -> 'f fields
+(** Inverse of {!export}. *)
 
 val get : 'f fields -> Xvi_xml.Store.node -> 'f
 (** Nodes never assigned (e.g. childless elements) read as the
@@ -41,13 +56,6 @@ val set : 'f fields -> Xvi_xml.Store.node -> 'f -> unit
     needed — the write primitive of every builder below, exported for
     the streaming ingest builder which replays its staged fields
     through the same calls to reproduce the exact storage shape. *)
-
-val alloc_fields : 'f ops -> capacity:int -> 'f fields
-(** Fresh storage pre-sized for [capacity] nodes (same allocation the
-    whole-document builders make from [Store.node_range]); used by the
-    streaming builder, which only learns the node count at the end. *)
-
-val fold_all : (Xvi_xml.Store.node -> 'f -> 'a -> 'a) -> 'f fields -> 'a -> 'a
 
 val create : 'f ops -> Xvi_xml.Store.t -> 'f fields
 (** Figure 7: a single depth-first pass driven by the sequence of text
@@ -60,8 +68,10 @@ type packed = Packed : 'f ops * 'f fields -> packed
 (** One index's field computation, with its type hidden, so machines of
     different field types can share a pass. *)
 
-val empty_fields : 'f ops -> Xvi_xml.Store.t -> 'f fields
-(** Fresh storage for {!create_multi}. *)
+val empty_fields : 'f ops -> 'f fields
+(** Fresh, empty storage — for {!create_multi}, and for the streaming
+    ingest builder, which replays its staged fields into it with
+    {!set}. *)
 
 val create_multi : ?pool:Xvi_util.Pool.t -> Xvi_xml.Store.t -> packed list -> unit
 (** The paper's Section 5 remark made concrete: "since all indices are

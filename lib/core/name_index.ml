@@ -1,84 +1,78 @@
 module Store = Xvi_xml.Store
-module Vec = Xvi_util.Vec
+module BT = Xvi_btree.Btree.Make (Xvi_btree.Btree.Int_key)
 
 type node = Store.node
 
-type t = { by_name : (int, Vec.Int.t) Hashtbl.t }
+(* A posting packs (name id, element) into one unboxed int — the name id
+   above the 30-bit node id — so one name's elements are a contiguous,
+   node-ordered key range of a copy-on-write B+tree. *)
+let node_mask = 0x3FFF_FFFF
+let pack id n = (id lsl 30) lor n
 
-let bucket t name_id =
-  match Hashtbl.find_opt t.by_name name_id with
-  | Some vec -> vec
-  | None ->
-      let vec = Vec.Int.create ~capacity:4 () in
-      Hashtbl.add t.by_name name_id vec;
-      vec
-
-let add t store n = Vec.Int.push (bucket t (Store.name_id store n)) n
+type t = { postings : unit BT.t }
 
 let create store =
-  let t = { by_name = Hashtbl.create 64 } in
+  let keys = Xvi_util.Vec.Int.create ~capacity:1024 () in
   Store.iter_pre store (fun n ->
-      if Store.kind store n = Store.Element then add t store n);
-  t
+      if Store.kind store n = Store.Element then
+        Xvi_util.Vec.Int.push keys (pack (Store.name_id store n) n));
+  let keys = Xvi_util.Vec.Int.to_array keys in
+  Array.sort Int.compare keys;
+  { postings = BT.of_sorted_array (Array.map (fun k -> (k, ())) keys) }
 
-let nodes t store name =
-  match Xvi_xml.Name_pool.find (Store.names store) name with
-  | None -> []
-  | Some id -> (
-      match Hashtbl.find_opt t.by_name id with
-      | None -> []
-      | Some vec ->
-          let acc = ref [] in
-          Vec.Int.iter
-            (fun n ->
-              (* lazy deletion: skip tombstones; names are immutable, so
-                 a live entry is always still an element of this name *)
-              if Store.is_live store n then acc := n :: !acc)
-            vec;
-          List.sort Int.compare !acc)
+let snapshot t = { postings = BT.snapshot t.postings }
 
-let count t store name =
+(* Deletion is lazy: tombstoned elements keep their posting and are
+   skipped here; names are immutable, so a live entry is always still an
+   element of its name. *)
+let fold_live t store name f init =
   match Xvi_xml.Name_pool.find (Store.names store) name with
-  | None -> 0
-  | Some id -> (
-      match Hashtbl.find_opt t.by_name id with
-      | None -> 0
-      | Some vec ->
-          Vec.Int.fold_left
-            (fun acc n -> if Store.is_live store n then acc + 1 else acc)
-            0 vec)
+  | None -> init
+  | Some id ->
+      let acc = ref init in
+      BT.iter_range ~lo:(pack id 0) ~hi:(pack id node_mask)
+        (fun k () ->
+          let n = k land node_mask in
+          if Store.is_live store n then acc := f n !acc)
+        t.postings;
+      !acc
+
+let nodes t store name = List.rev (fold_live t store name List.cons [])
+let count t store name = fold_live t store name (fun _ c -> c + 1) 0
 
 let cursor t store name =
   match Xvi_xml.Name_pool.find (Store.names store) name with
   | None -> fun () -> None
-  | Some id -> (
-      match Hashtbl.find_opt t.by_name id with
-      | None -> fun () -> None
-      | Some vec ->
-          (* bucket vecs grow by push in ascending node-id order (one
-             shredding pass, then inserts of strictly fresher ids), so a
-             positional walk already streams the merge order; tombstones
-             are skipped as in [nodes] *)
-          let i = ref 0 in
-          let rec pull () =
-            if !i >= Vec.Int.length vec then None
-            else begin
-              let n = Vec.Int.get vec !i in
-              incr i;
-              if Store.is_live store n then Some n else pull ()
-            end
-          in
-          pull)
+  | Some id ->
+      let rest = ref (BT.to_seq_range ~lo:(pack id 0) ~hi:(pack id node_mask) t.postings) in
+      let rec pull () =
+        match !rest () with
+        | Seq.Nil -> None
+        | Seq.Cons ((k, ()), tl) ->
+            rest := tl;
+            let n = k land node_mask in
+            if Store.is_live store n then Some n else pull ()
+      in
+      pull
 
 let on_insert t store ~roots =
   List.iter
     (fun root ->
       Store.iter_pre ~root store (fun n ->
-          if Store.kind store n = Store.Element then add t store n))
+          if Store.kind store n = Store.Element then
+            BT.insert t.postings (pack (Store.name_id store n) n) ()))
     roots
 
-let storage_bytes t =
-  Hashtbl.fold (fun _ vec acc -> acc + 32 + Vec.Int.memory_bytes vec) t.by_name 0
+let digest t store =
+  let b = Buffer.create 4096 in
+  BT.iter
+    (fun k () ->
+      if Store.is_live store (k land node_mask) then
+        Buffer.add_int64_le b (Int64.of_int k))
+    t.postings;
+  Digest.string (Buffer.contents b)
+
+let storage_bytes t = BT.memory_bytes ~value_bytes:0 t.postings
 
 let validate t store =
   let expected = Hashtbl.create 64 in
@@ -95,12 +89,17 @@ let validate t store =
       if got <> List.sort Int.compare nodes_expected then
         problems := Printf.sprintf "mismatch for <%s>" name :: !problems)
     expected;
-  (* and no phantom names *)
-  Hashtbl.iter
-    (fun id _vec ->
-      let name = Xvi_xml.Name_pool.name (Store.names store) id in
-      let live = count t store name in
-      if live > 0 && not (Hashtbl.mem expected name) then
-        problems := Printf.sprintf "phantom name <%s>" name :: !problems)
-    t.by_name;
+  (* and no phantom postings: every live entry is an element of its name *)
+  BT.iter
+    (fun k () ->
+      let n = k land node_mask in
+      if
+        Store.is_live store n
+        && (Store.kind store n <> Store.Element
+           || Store.name_id store n <> k lsr 30)
+      then problems := Printf.sprintf "phantom posting for node %d" n :: !problems)
+    t.postings;
+  (match BT.check_invariants t.postings with
+  | Ok () -> ()
+  | Error e -> problems := ("btree: " ^ e) :: !problems);
   match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)

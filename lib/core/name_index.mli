@@ -6,8 +6,11 @@
     seed [//person[...]]-style context selection, so value predicates
     (answered by the paper's indices) never force a document scan.
 
-    Deletion is handled lazily: tombstoned nodes are filtered out at
-    lookup time, so subtree deletion costs the index nothing. *)
+    Postings live in a copy-on-write B+tree keyed by (name, element), so
+    {!snapshot} is O(1) and an insert published later never shows
+    through an earlier epoch. Deletion is handled lazily: tombstoned
+    nodes are filtered out at lookup time, so subtree deletion costs the
+    index nothing. *)
 
 type t
 
@@ -24,12 +27,17 @@ val count : t -> Xvi_xml.Store.t -> string -> int
 
 val cursor : t -> Xvi_xml.Store.t -> string -> unit -> node option
 (** Lazy cursor over the live elements of this tag, ascending node
-    order (the bucket is push-ordered by construction), tombstones
-    skipped on pull. Do not insert under this name while the cursor is
-    live. *)
+    order, tombstones skipped on pull. Do not insert under this name
+    while the cursor is live. *)
 
 val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
 (** Register the elements of freshly inserted subtrees. *)
+
+val snapshot : t -> t
+(** O(1) logically independent copy (see {!Xvi_btree.Btree.S.snapshot}). *)
+
+val digest : t -> Xvi_xml.Store.t -> string
+(** Logical digest of the live postings. *)
 
 val storage_bytes : t -> int
 

@@ -43,10 +43,10 @@ let error_to_string = function
    off-heap columnar store through [Store.Codec] (raw fixed-width column
    blobs; Bigarray contents would otherwise round-trip through Marshal's
    slower custom serialiser) and the GC-heap shell (indexes,
-   configuration) marshalled with closures as before. Decoding the blob
-   rebuilds canonical fresh columns, so a recovered database marshals
-   bit-identically to a replayed oracle — the property every fault sweep
-   digests. *)
+   configuration) marshalled with closures as before. The shell holds
+   each index's persisted image ([Db.shell]): index columns as int
+   arrays at their logical length, so an off-heap column costs the
+   snapshot what its contents cost, never whole chunks. *)
 
 (* fsync a directory so a rename inside it survives power loss; needs a
    read-only descriptor on the directory itself. *)

@@ -182,6 +182,38 @@ let on_insert t store ~roots =
        ~structural:parents ())
       .Indexer.changes
 
+let snapshot t =
+  {
+    fields = Indexer.snapshot t.fields;
+    postings = BT.snapshot t.postings;
+    entries = t.entries;
+  }
+
+type image = { i_fields : int array; i_postings : unit BT.t; i_entries : int }
+
+let to_image t =
+  { i_fields = Indexer.export t.fields; i_postings = t.postings; i_entries = t.entries }
+
+let of_image i =
+  {
+    fields = Indexer.import Indexer.hash_ops i.i_fields;
+    postings = i.i_postings;
+    entries = i.i_entries;
+  }
+
+let add_int b i = Buffer.add_int64_le b (Int64.of_int i)
+
+let digest t store =
+  let b = Buffer.create 4096 in
+  add_int b t.entries;
+  BT.iter (fun k () -> add_int b k) t.postings;
+  Store.iter_pre store (fun n ->
+      if indexable store n then begin
+        add_int b n;
+        add_int b (Hash.to_int (Indexer.get t.fields n))
+      end);
+  Digest.string (Buffer.contents b)
+
 let entry_count t = t.entries
 
 let storage_bytes t =

@@ -38,8 +38,8 @@ val of_key_seq : Hash.t Indexer.fields -> count:int -> (unit -> int) -> t
 (** Streaming-ingest assembly: bulk load from a generator of exactly
     [count] strictly ascending {!pack_key} postings (the ingest
     builder's batch-sorted runs, k-way merged), without materializing
-    the key array.  Marshal-identical to the serial {!of_fields} over
-    the same document. *)
+    the key array.  Identical ({!digest}) to the serial {!of_fields}
+    over the same document. *)
 
 val hash_of : t -> node -> Hash.t
 (** The indexed hash of a live node. *)
@@ -79,6 +79,25 @@ val on_delete : t -> Xvi_xml.Store.t -> parent:node -> removed:node list -> unit
 val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
 (** Freshly inserted subtrees (all under the same parent): computes
     fields for the new nodes and recombines upward. *)
+
+(** {1 Epochs and persistence} *)
+
+val snapshot : t -> t
+(** O(chunk table) logically independent copy: the posting tree is
+    path-copied and the hash column chunk-cloned on the next write to
+    either side. *)
+
+type image
+(** Marshal-safe persisted form: the hash column at its logical length
+    plus the posting tree. *)
+
+val to_image : t -> image
+val of_image : image -> t
+
+val digest : t -> Xvi_xml.Store.t -> string
+(** Logical digest: the sorted postings and the hash of every live
+    indexed node. Equal for equal logical state, whatever the copy
+    history. *)
 
 (** {1 Accounting and validation} *)
 

@@ -296,6 +296,14 @@ let on_insert t store ~roots =
           if indexable store n then add_node t store n))
     roots
 
+let snapshot t = { postings = BT.snapshot t.postings; entries = t.entries }
+
+let digest t =
+  let b = Buffer.create 4096 in
+  Buffer.add_int64_le b (Int64.of_int t.entries);
+  BT.iter (fun k () -> Buffer.add_int64_le b (Int64.of_int k)) t.postings;
+  Digest.string (Buffer.contents b)
+
 let entry_count t = t.entries
 
 let storage_bytes t = BT.memory_bytes ~value_bytes:0 t.postings

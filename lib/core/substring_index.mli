@@ -75,6 +75,15 @@ val update_texts : t -> Xvi_xml.Store.t -> (node * string) list -> unit
 val on_delete : t -> removed:(node * string) list -> unit
 val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
 
+(** {1 Epochs} *)
+
+val snapshot : t -> t
+(** O(1) logically independent copy (the posting tree is path-copied on
+    the next write to either side). *)
+
+val digest : t -> string
+(** Logical digest of the sorted postings. *)
+
 (** {1 Accounting and validation} *)
 
 val entry_count : t -> int

@@ -1,6 +1,8 @@
 module Store = Xvi_xml.Store
 module BT = Xvi_btree.Btree.Bytes
 module Enc = Xvi_btree.Encoding
+module Bigvec = Xvi_util.Bigvec
+module Int_map = Map.Make (Int)
 
 (* Keys are order-preserving byte strings: [float_key value ^ int_key
    node], so the (value, node) order the index needs is plain byte
@@ -9,16 +11,51 @@ module Enc = Xvi_btree.Encoding
 type node = Store.node
 type reconstruct = [ `Document | `Fragment ]
 
+(* The node -> typed key map of complete nodes is a pair of
+   copy-on-write columns: the key, and an explicit presence byte (NaN is
+   a legal xs:double, so no key value can mark absence). The number of
+   complete nodes is the value tree's length: each has one entry. *)
 type t = {
   spec : Lexical_types.spec;
   ops : int Indexer.ops;
   fields : int Indexer.fields;
   values : unit BT.t;
-  by_node : (node, float) Hashtbl.t; (* complete nodes -> typed key *)
-  frags : (node, string) Hashtbl.t; (* viable nodes -> lexical, `Fragment only *)
+  keys : Bigvec.Float.t; (* node -> typed key, meaningful where [present] *)
+  present : Bigvec.Byte.t; (* node -> '\001' when complete *)
+  mutable frags : string Int_map.t; (* viable nodes -> lexical, `Fragment only *)
   reconstruct : reconstruct;
   mutable viable_count : int;
 }
+
+let make ?(reconstruct = `Document) ?(viable_count = 0) ?(values = BT.create ())
+    spec fields =
+  {
+    spec;
+    ops = Indexer.sct_ops spec.Lexical_types.sct;
+    fields;
+    values;
+    keys = Bigvec.Float.create ();
+    present = Bigvec.Byte.create ();
+    frags = Int_map.empty;
+    reconstruct;
+    viable_count;
+  }
+
+let value_of t n =
+  if n < Bigvec.Byte.length t.present && Bigvec.Byte.get t.present n <> '\000'
+  then Some (Bigvec.Float.get t.keys n)
+  else None
+
+let set_key t n v =
+  while Bigvec.Byte.length t.present <= n do
+    Bigvec.Float.push t.keys 0.0;
+    Bigvec.Byte.push t.present '\000'
+  done;
+  Bigvec.Float.set t.keys n v;
+  Bigvec.Byte.set t.present n '\001'
+
+let clear_key t n =
+  if n < Bigvec.Byte.length t.present then Bigvec.Byte.set t.present n '\000'
 
 let indexable store n =
   match Store.kind store n with
@@ -30,14 +67,13 @@ let type_name t = t.spec.Lexical_types.type_name
 let sct t = t.spec.Lexical_types.sct
 let state_of t n = Indexer.get t.fields n
 let is_viable t n = Sct.is_viable (sct t) (state_of t n)
-let is_complete t n = Hashtbl.mem t.by_node n
-let value_of t n = Hashtbl.find_opt t.by_node n
+let is_complete t n = value_of t n <> None
 
 (* The lexical value of a viable node, for typed-key extraction. *)
 let lexical_of t store n =
   match t.reconstruct with
   | `Document -> Store.string_value store n
-  | `Fragment -> ( match Hashtbl.find_opt t.frags n with Some f -> f | None -> "")
+  | `Fragment -> ( match Int_map.find_opt n t.frags with Some f -> f | None -> "")
 
 (* An accepting state guarantees the lexical *shape*, not semantic
    validity — "0000-13-45T99:99:99" is shaped like a dateTime but is no
@@ -45,14 +81,14 @@ let lexical_of t store n =
    entry in the value B+tree. *)
 
 let add_complete t n value =
-  Hashtbl.replace t.by_node n value;
+  set_key t n value;
   BT.insert t.values (Enc.float_int_key value n) ()
 
 let remove_complete t n =
-  match Hashtbl.find_opt t.by_node n with
+  match value_of t n with
   | None -> ()
   | Some v ->
-      Hashtbl.remove t.by_node n;
+      clear_key t n;
       ignore (BT.remove t.values (Enc.float_int_key v n) : bool)
 
 (* Maintain the fragment table for a node whose state just changed.
@@ -60,27 +96,28 @@ let remove_complete t n =
    fragments are present — provided changes are applied deepest first. *)
 let refresh_frag t store n new_state =
   if t.reconstruct = `Fragment then
-    if not (Sct.is_viable (sct t) new_state) then Hashtbl.remove t.frags n
+    if not (Sct.is_viable (sct t) new_state) then
+      t.frags <- Int_map.remove n t.frags
     else
       match Store.kind store n with
       | Store.Text | Store.Attribute ->
-          Hashtbl.replace t.frags n (Store.text store n)
+          t.frags <- Int_map.add n (Store.text store n) t.frags
       | Store.Element | Store.Document ->
           let buf = Buffer.create 16 in
           List.iter
             (fun c ->
-              match Hashtbl.find_opt t.frags c with
+              match Int_map.find_opt c t.frags with
               | Some f -> Buffer.add_string buf f
               | None -> ())
             (Store.children store n);
-          Hashtbl.replace t.frags n (Buffer.contents buf)
+          t.frags <- Int_map.add n (Buffer.contents buf) t.frags
       | Store.Comment | Store.Pi | Store.Deleted -> ()
 
 let register t store n state =
   if Sct.is_viable (sct t) state then begin
     t.viable_count <- t.viable_count + 1;
     if t.reconstruct = `Fragment then
-      Hashtbl.replace t.frags n (Store.string_value store n);
+      t.frags <- Int_map.add n (Store.string_value store n) t.frags;
     if Sct.is_accepting (sct t) state then
       match t.spec.Lexical_types.parse (Store.string_value store n) with
       | Some v -> add_complete t n v
@@ -88,30 +125,18 @@ let register t store n state =
   end
 
 let of_fields ?(reconstruct = `Document) ?pool spec store fields =
-  let ops = Indexer.sct_ops spec.Lexical_types.sct in
   let sct_ = spec.Lexical_types.sct in
-  let t =
-    {
-      spec;
-      ops;
-      fields;
-      values = BT.create ();
-      by_node = Hashtbl.create 1024;
-      frags = Hashtbl.create 64;
-      reconstruct;
-      viable_count = 0;
-    }
-  in
+  let t = make ~reconstruct spec fields in
   let pairs = ref [] in
   (match pool with
   | Some pool
     when Xvi_util.Pool.parallelism pool > 1 && reconstruct = `Document ->
       (* Per-domain collection over node-id slices: each domain counts
          its viable nodes and parses its complete values (the expensive
-         part — lexical re-reads and float parsing). The [by_node] table
+         part — lexical re-reads and float parsing). The key column
          fill, the sort and the bulk load stay single-threaded.
          [`Fragment] mode stays serial: it populates the shared [frags]
-         hashtable during collection. *)
+         map during collection. *)
       let slices =
         Xvi_util.Pool.slices (Store.node_range store)
           (Xvi_util.Pool.parallelism pool)
@@ -143,7 +168,7 @@ let of_fields ?(reconstruct = `Document) ?pool spec store fields =
           t.viable_count <- t.viable_count + viable;
           List.iter
             (fun (v, n) ->
-              Hashtbl.replace t.by_node n v;
+              set_key t n v;
               pairs := (Enc.float_int_key v n, ()) :: !pairs)
             local)
         parts
@@ -155,13 +180,13 @@ let of_fields ?(reconstruct = `Document) ?pool spec store fields =
             if Sct.is_viable sct_ state then begin
               t.viable_count <- t.viable_count + 1;
               if t.reconstruct = `Fragment then
-                Hashtbl.replace t.frags n (Store.string_value store n);
+                t.frags <- Int_map.add n (Store.string_value store n) t.frags;
               if Sct.is_accepting sct_ state then
                 match
                   t.spec.Lexical_types.parse (Store.string_value store n)
                 with
                 | Some v ->
-                    Hashtbl.replace t.by_node n v;
+                    set_key t n v;
                     pairs := (Enc.float_int_key v n, ()) :: !pairs
                 | None -> ()
             end
@@ -172,31 +197,18 @@ let of_fields ?(reconstruct = `Document) ?pool spec store fields =
 
 (* Streaming-ingest assembly: the builder already ran the state machine
    and parsed the complete values while shredding; this reproduces the
-   exact structure the serial [of_fields] pass builds — same [by_node]
-   insertion sequence (ascending node id, like [iter_pre]), same sorted
-   pair array, same bulk load — so the result is marshal-identical. *)
+   exact structure the serial [of_fields] pass builds — same key
+   columns, same sorted pair array, same bulk load. *)
 let of_streamed spec fields ~viable_count ~complete =
-  let ops = Indexer.sct_ops spec.Lexical_types.sct in
-  let t =
-    {
-      spec;
-      ops;
-      fields;
-      values = BT.create ();
-      by_node = Hashtbl.create 1024;
-      frags = Hashtbl.create 64;
-      reconstruct = `Document;
-      viable_count;
-    }
-  in
-  Array.iter (fun (n, v) -> Hashtbl.replace t.by_node n v) complete;
+  let t = make ~viable_count spec fields in
+  Array.iter (fun (n, v) -> set_key t n v) complete;
   let pairs = Array.map (fun (n, v) -> (Enc.float_int_key v n, ())) complete in
   Array.sort (fun (k1, ()) (k2, ()) -> String.compare k1 k2) pairs;
   { t with values = BT.of_sorted_array pairs }
 
 let create ?reconstruct ?pool spec store =
   let ops = Indexer.sct_ops spec.Lexical_types.sct in
-  let fields = Indexer.empty_fields ops store in
+  let fields = Indexer.empty_fields ops in
   Indexer.create_multi ?pool store [ Indexer.Packed (ops, fields) ];
   of_fields ?reconstruct ?pool spec store fields
 
@@ -275,7 +287,7 @@ let on_delete t store ~parent ~removed =
     (fun n ->
       if Sct.is_viable (sct t) (Indexer.get t.fields n) then
         t.viable_count <- t.viable_count - 1;
-      Hashtbl.remove t.frags n;
+      t.frags <- Int_map.remove n t.frags;
       remove_complete t n)
     removed;
   apply t store
@@ -299,6 +311,69 @@ let on_insert t store ~roots =
   apply t store
     (Indexer.update t.ops store t.fields ~texts:[] ~structural:parents ())
 
+let snapshot t =
+  {
+    t with
+    fields = Indexer.snapshot t.fields;
+    values = BT.snapshot t.values;
+    keys = Bigvec.Float.snapshot t.keys;
+    present = Bigvec.Byte.snapshot t.present;
+  }
+
+(* Persisted form: the state column at its logical length, the value
+   tree, and the scalars. The key columns are not stored — every
+   complete node's key is in its value-tree entry, so [of_image] reads
+   them back out of the tree. *)
+type image = {
+  i_spec : Lexical_types.spec;
+  i_fields : int array;
+  i_values : unit BT.t;
+  i_frags : string Int_map.t;
+  i_reconstruct : reconstruct;
+  i_viable_count : int;
+}
+
+let to_image t =
+  {
+    i_spec = t.spec;
+    i_fields = Indexer.export t.fields;
+    i_values = t.values;
+    i_frags = t.frags;
+    i_reconstruct = t.reconstruct;
+    i_viable_count = t.viable_count;
+  }
+
+let of_image i =
+  let t =
+    make ~reconstruct:i.i_reconstruct ~viable_count:i.i_viable_count
+      ~values:i.i_values i.i_spec
+      (Indexer.import (Indexer.sct_ops i.i_spec.Lexical_types.sct) i.i_fields)
+  in
+  t.frags <- i.i_frags;
+  BT.iter
+    (fun k () -> set_key t (Enc.decode_int k 8) (Enc.decode_float k 0))
+    t.values;
+  t
+
+let digest t store =
+  let b = Buffer.create 4096 in
+  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+  Buffer.add_string b (type_name t);
+  add_int t.viable_count;
+  BT.iter (fun k () -> Buffer.add_string b k) t.values;
+  Store.iter_pre store (fun n ->
+      if indexable store n then begin
+        add_int n;
+        add_int (state_of t n);
+        (match value_of t n with
+        | Some v -> Buffer.add_int64_le b (Int64.bits_of_float v)
+        | None -> Buffer.add_char b '-');
+        match Int_map.find_opt n t.frags with
+        | Some f -> Buffer.add_string b f
+        | None -> ()
+      end);
+  Digest.string (Buffer.contents b)
+
 type stats = {
   viable_nodes : int;
   complete_nodes : int;
@@ -321,7 +396,7 @@ let stats t store =
       | _ -> ());
   {
     viable_nodes = t.viable_count;
-    complete_nodes = Hashtbl.length t.by_node;
+    complete_nodes = BT.length t.values;
     complete_text_nodes = !complete_texts;
     complete_non_leaves = !complete_non_leaves;
   }
@@ -331,7 +406,7 @@ let entry_count t = BT.length t.values
 let storage_bytes t =
   let state_column = t.viable_count * Sct.state_bytes (sct t) in
   let frag_bytes =
-    Hashtbl.fold (fun _ f acc -> acc + 24 + String.length f) t.frags 0
+    Int_map.fold (fun _ f acc -> acc + 24 + String.length f) t.frags 0
   in
   state_column + frag_bytes + BT.memory_bytes ~value_bytes:0 t.values
 
@@ -351,7 +426,7 @@ let validate t store =
           incr viable;
           if t.reconstruct = `Fragment then begin
             let sv = Store.string_value store n in
-            match Hashtbl.find_opt t.frags n with
+            match Int_map.find_opt n t.frags with
             | Some f when String.equal f sv -> ()
             | Some f ->
                 problems :=
@@ -371,10 +446,13 @@ let validate t store =
     problems :=
       Printf.sprintf "viable count %d <> expected %d" t.viable_count !viable
       :: !problems;
-  if Hashtbl.length expected_complete <> Hashtbl.length t.by_node then
+  let complete = ref 0 in
+  for n = 0 to Bigvec.Byte.length t.present - 1 do
+    if is_complete t n then incr complete
+  done;
+  if Hashtbl.length expected_complete <> !complete then
     problems :=
-      Printf.sprintf "complete count %d <> expected %d"
-        (Hashtbl.length t.by_node)
+      Printf.sprintf "complete count %d <> expected %d" !complete
         (Hashtbl.length expected_complete)
       :: !problems;
   Hashtbl.iter

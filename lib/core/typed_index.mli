@@ -57,8 +57,8 @@ val of_streamed :
     already counted viable nodes and parsed the complete values while
     shredding. [complete] must be ascending by node id with each value
     the successful [spec.parse] of that node's string value; the result
-    is marshal-identical to the serial {!of_fields} pass over the same
-    document. *)
+    is identical ({!digest}) to the serial {!of_fields} pass over the
+    same document. *)
 
 val spec : t -> Lexical_types.spec
 val type_name : t -> string
@@ -90,7 +90,7 @@ val cursor : ?lo:float -> ?hi:float -> t -> unit -> node option
     update the index while a cursor is live. *)
 
 val estimate_range : ?lo:float -> ?hi:float -> t -> int
-(** Exact binding count in the range via the B+tree leaf chain — the
+(** Exact binding count in the range, counted per B+tree leaf — the
     planner's cardinality estimate. *)
 
 (** {1 Maintenance} *)
@@ -98,6 +98,25 @@ val estimate_range : ?lo:float -> ?hi:float -> t -> int
 val update_texts : t -> Xvi_xml.Store.t -> node list -> unit
 val on_delete : t -> Xvi_xml.Store.t -> parent:node -> removed:node list -> unit
 val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
+
+(** {1 Epochs and persistence} *)
+
+val snapshot : t -> t
+(** O(chunk table) logically independent copy: the value tree is
+    path-copied, and the state and key columns chunk-cloned, on the next
+    write to either side. *)
+
+type image
+(** Marshal-safe persisted form: the state column at its logical length,
+    the value tree and the counters. The node-to-key columns are rebuilt
+    from the value tree on {!of_image}. *)
+
+val to_image : t -> image
+val of_image : image -> t
+
+val digest : t -> Xvi_xml.Store.t -> string
+(** Logical digest: the sorted value-tree keys, the viable count, and
+    every live indexed node's state and typed key. *)
 
 (** {1 Statistics, accounting, validation} *)
 

@@ -26,7 +26,7 @@ module Typed_index = Xvi_core.Typed_index
      into parents, where [combine x identity = x] exactly — the unit
      law the parallel builder already relies on).  We stage fields in
      an off-heap column and replay [0 .. max_assigned] through
-     [Indexer.set] at the end, reproducing the exact [Vec.Poly] shape
+     [Indexer.set] at the end, reproducing the exact column contents
      (identity holes included).
    - postings: the serial pass collects every indexable node's packed
      key and sorts once; we sort bounded batch runs and k-way merge
@@ -388,12 +388,9 @@ module Builder = struct
     | _ -> invalid_arg "Ingest.Builder.finish: unclosed elements");
     t.stack <- [];
     flush_batch t;
-    let range = Store.node_range t.store in
-    (* replay staged fields through [Indexer.set]: same storage shape
-       as the serial pass (identity holes are exactly the dummy) *)
-    let hash_fields =
-      Indexer.alloc_fields Indexer.hash_ops ~capacity:range
-    in
+    (* replay staged fields through [Indexer.set]: same column as the
+       serial pass (identity holes included) *)
+    let hash_fields = Indexer.empty_fields Indexer.hash_ops in
     for n = 0 to t.max_assigned do
       Indexer.set hash_fields n (Hash.of_int (Bigvec.Int.get t.hv n))
     done;
@@ -401,9 +398,7 @@ module Builder = struct
       List.mapi
         (fun i spec ->
           let m = t.machines.(i) in
-          let fields =
-            Indexer.alloc_fields (Indexer.sct_ops m.msct) ~capacity:range
-          in
+          let fields = Indexer.empty_fields (Indexer.sct_ops m.msct) in
           for n = 0 to t.max_assigned do
             Indexer.set fields n (Bigvec.Int.get t.sv.(i) n)
           done;

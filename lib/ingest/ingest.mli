@@ -11,7 +11,7 @@
     into the B+tree bulk loader at the end.  Live heap during ingest is
     O(depth + batch) plus the final index shell.
 
-    The product is {e marshal-bit-identical} to
+    The product is {e identical} ({!Xvi_core.Db.digest}) to
     [Db.of_store ~config (Parser.parse doc)] with [config.jobs = 1]
     — the differential harness and [Fault.ingest_sweep] enforce this on
     every document.  [~pool] parallelism only accelerates the per-batch

@@ -58,15 +58,21 @@ type t = {
 
    Every helper below runs with [t.lock] held. An epoch is cut only when
    the whole master state is durable ([durable_upto >= last_lsn]): the
-   copy would otherwise leak commits a crash could take back. The plane
-   is forced on the copy before it escapes, so readers never write the
-   (benignly racy) lazy cache themselves. *)
+   copy would otherwise leak commits a crash could take back. [Db.copy]
+   shares chunks and tree nodes with the master, so an epoch costs
+   O(chunk tables); the master's next writes copy what they touch. The
+   plane is forced on the master before the copy, which shares it: it is
+   rebuilt only after a structural commit dropped it, and readers never
+   write the (benignly racy) lazy cache themselves. *)
+
+let epoch_db master =
+  ignore (Db.plane master : Xvi_xml.Pre_plane.t);
+  Db.copy master
 
 let publish_locked t now =
   if t.dirty && t.durable_upto >= t.last_lsn then begin
     t.epoch <- t.epoch + 1;
-    let db = Db.copy t.master in
-    ignore (Db.plane db : Xvi_xml.Pre_plane.t);
+    let db = epoch_db t.master in
     Atomic.set t.published
       { epoch = t.epoch; lsn = t.last_lsn; commits = t.commits; db };
     t.dirty <- false;
@@ -129,11 +135,7 @@ let make ?(publish_period = 0.0) ~backend ~master ~last_lsn () =
     | Disk d -> Durable.manager d
   in
   let now = Timing.now_s () in
-  let epoch0 =
-    let db = Db.copy master in
-    ignore (Db.plane db : Xvi_xml.Pre_plane.t);
-    { epoch = 0; lsn = last_lsn; commits = 0; db }
-  in
+  let epoch0 = { epoch = 0; lsn = last_lsn; commits = 0; db = epoch_db master } in
   let t =
     {
       backend;

@@ -10,8 +10,9 @@
     {b Epoch-based MVCC.} The engine owns a private {e master} database
     that only the single writer (serialised by an internal lock) ever
     mutates. After commits become durable, the engine {e publishes} an
-    immutable deep copy of the master — an {e epoch} — through one
-    [Atomic] cell. Readers {!pin} the current epoch with a single atomic
+    immutable copy of the master — an {e epoch}, sharing chunks, tree
+    nodes and the plane with it copy-on-write ({!Xvi_core.Db.copy}) —
+    through one [Atomic] cell. Readers {!pin} the current epoch with a single atomic
     load and then run any {!Xvi_core.Db} read against a database no one
     will ever mutate: no read takes a lock, before or after pinning, so
     a stalled or slow writer cannot block a reader (and vice versa).
@@ -79,8 +80,8 @@ val open_ :
 
     [publish_period] (seconds, default [0.]) rate-limits epoch
     publication: a fresh epoch is cut at most once per period, so the
-    deep-copy cost amortises over many commits the way fsyncs amortise
-    under group commit. [0.] publishes at every durable boundary —
+    copy-on-write clones each epoch costs the next writes amortise over
+    many commits the way fsyncs amortise under group commit. [0.] publishes at every durable boundary —
     read-your-writes for a session that awaited durability. {!refresh}
     and {!sync} always force a fresh epoch regardless of the period. *)
 

@@ -11,7 +11,7 @@
    flags are canonical (all-shared on snapshot products, all-owned on
    fresh vectors), so marshalling is a pure function of logical state. *)
 
-let default_chunk_log = ref 15
+let default_chunk_log = ref 12
 
 let chunk_log () = !default_chunk_log
 
@@ -53,11 +53,6 @@ module Make (E : ELT) = struct
 
   let length t = t.len
 
-  let get t i =
-    if i < 0 || i >= t.len then
-      invalid_arg (Printf.sprintf "Bigvec.get: index %d out of [0,%d)" i t.len);
-    Bigarray.Array1.unsafe_get t.chunks.(i lsr t.log) (i land ((1 lsl t.log) - 1))
-
   (* Clone chunk [c] if a snapshot still references it. *)
   let own t c =
     if Bytes.get t.shared c <> '\000' then begin
@@ -66,13 +61,6 @@ module Make (E : ELT) = struct
       t.chunks.(c) <- copy;
       Bytes.set t.shared c '\000'
     end
-
-  let set t i v =
-    if i < 0 || i >= t.len then
-      invalid_arg (Printf.sprintf "Bigvec.set: index %d out of [0,%d)" i t.len);
-    let c = i lsr t.log in
-    own t c;
-    Bigarray.Array1.unsafe_set t.chunks.(c) (i land ((1 lsl t.log) - 1)) v
 
   let push t v =
     let csize = 1 lsl t.log in
@@ -96,6 +84,11 @@ module Make (E : ELT) = struct
   let memory_bytes t = Array.length t.chunks * (1 lsl t.log) * E.bytes_per_elt
 end
 
+(* [get]/[set] are written once per element type below, not in the
+   functor: inside it the Bigarray kind is abstract, so element access
+   would compile to a C call; at a concrete kind it is an inline
+   load/store. *)
+
 module Int = struct
   include Make (struct
     type elt = int
@@ -105,6 +98,18 @@ module Int = struct
     let zero = 0
     let bytes_per_elt = 8
   end)
+
+  let get t i =
+    if i < 0 || i >= t.len then
+      invalid_arg (Printf.sprintf "Bigvec.get: index %d out of [0,%d)" i t.len);
+    Bigarray.Array1.unsafe_get t.chunks.(i lsr t.log) (i land ((1 lsl t.log) - 1))
+
+  let set t i v =
+    if i < 0 || i >= t.len then
+      invalid_arg (Printf.sprintf "Bigvec.set: index %d out of [0,%d)" i t.len);
+    let c = i lsr t.log in
+    own t c;
+    Bigarray.Array1.unsafe_set t.chunks.(c) (i land ((1 lsl t.log) - 1)) v
 
   let iteri f t =
     for i = 0 to length t - 1 do
@@ -126,6 +131,29 @@ module Int = struct
     t
 end
 
+module Float = struct
+  include Make (struct
+    type elt = float
+    type repr = Bigarray.float64_elt
+
+    let kind = Bigarray.float64
+    let zero = 0.0
+    let bytes_per_elt = 8
+  end)
+
+  let get t i =
+    if i < 0 || i >= t.len then
+      invalid_arg (Printf.sprintf "Bigvec.get: index %d out of [0,%d)" i t.len);
+    Bigarray.Array1.unsafe_get t.chunks.(i lsr t.log) (i land ((1 lsl t.log) - 1))
+
+  let set t i v =
+    if i < 0 || i >= t.len then
+      invalid_arg (Printf.sprintf "Bigvec.set: index %d out of [0,%d)" i t.len);
+    let c = i lsr t.log in
+    own t c;
+    Bigarray.Array1.unsafe_set t.chunks.(c) (i land ((1 lsl t.log) - 1)) v
+end
+
 module Byte = struct
   include Make (struct
     type elt = char
@@ -135,6 +163,18 @@ module Byte = struct
     let zero = '\000'
     let bytes_per_elt = 1
   end)
+
+  let get t i =
+    if i < 0 || i >= t.len then
+      invalid_arg (Printf.sprintf "Bigvec.get: index %d out of [0,%d)" i t.len);
+    Bigarray.Array1.unsafe_get t.chunks.(i lsr t.log) (i land ((1 lsl t.log) - 1))
+
+  let set t i v =
+    if i < 0 || i >= t.len then
+      invalid_arg (Printf.sprintf "Bigvec.set: index %d out of [0,%d)" i t.len);
+    let c = i lsr t.log in
+    own t c;
+    Bigarray.Array1.unsafe_set t.chunks.(c) (i land ((1 lsl t.log) - 1)) v
 
   let append_string t s =
     let off = length t in

@@ -8,9 +8,8 @@
     columns. A shared chunk is cloned the first time either side writes
     into it — the vector is copy-on-write at chunk granularity.
 
-    Determinism contract (the bit-identity gates digest marshalled
-    stores, so marshalling a vector must be a pure function of its
-    logical state):
+    Determinism contract (so that marshalling a vector, as the store
+    codec's raw blobs do, is a pure function of its logical state):
 
     - the chunk table always holds exactly [max 1 (ceil len / chunk)]
       chunks — no capacity slack, whatever the growth history;
@@ -23,8 +22,12 @@
     marshal to identical bytes. *)
 
 val chunk_log : unit -> int
-(** Current log2 of the chunk size in elements (default 15, i.e. 32k
-    elements — 256 KiB per int chunk). *)
+(** Current log2 of the chunk size in elements (default 12, i.e. 4k
+    elements — 32 KiB per int chunk). Small chunks keep copy-on-write
+    cheap: after every epoch snapshot, a commit's scattered writes each
+    clone one chunk, and cloned chunks are off-heap memory the GC paces
+    its major cycles by (at 2^15 a 4-write commit on XMark ×1 cloned
+    megabytes and forced a major collection almost every commit). *)
 
 val with_chunk_log_for_testing : int -> (unit -> 'a) -> 'a
 (** Run a thunk with a different chunk size for vectors created inside
@@ -65,12 +68,25 @@ module Int : sig
       used). *)
 end
 
+module Float : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  val length : t -> int
+  val get : t -> int -> float
+  val set : t -> int -> float -> unit
+  val push : t -> float -> unit
+  val snapshot : t -> t
+  val memory_bytes : t -> int
+end
+
 module Byte : sig
   type t
 
   val create : ?capacity:int -> unit -> t
   val length : t -> int
   val get : t -> int -> char
+  val set : t -> int -> char -> unit
   val push : t -> char -> unit
 
   val append_string : t -> string -> int

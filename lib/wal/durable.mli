@@ -127,8 +127,9 @@ val delete_subtree : t -> Xvi_xml.Store.node -> unit
     the durable document prefix — reports them via {!pending_ingest},
     and {!resume_ingest} continues from there. Because the logged
     chunks replay byte-identically through a fresh builder, the final
-    database is marshal-bit-identical to an uninterrupted ingest (and
-    to the whole-document build) no matter where the crash cut. *)
+    database is identical ({!Xvi_core.Db.digest}) to an uninterrupted
+    ingest (and to the whole-document build) no matter where the crash
+    cut. *)
 
 val bulk_ingest :
   ?sync_mode:Wal.sync_mode ->

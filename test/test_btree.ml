@@ -239,6 +239,106 @@ let test_memory_accounting () =
   Alcotest.(check bool) "plausible lower bound" true (full > 10_000 * 16);
   Alcotest.(check bool) "node count sane" true (BT.node_count t > 10_000 / 33)
 
+(* --- Copy-on-write snapshots ---
+
+   Model check of [snapshot] against [Stdlib.Map]: random insert/remove
+   runs, at order 4 so splits, borrows and merges all happen, on any of
+   several live trees that snapshot each other. After every step, every
+   live tree must still equal its own model and pass its invariants — a
+   write through one tree that leaks into a node another tree shares
+   shows up as a model mismatch on the other tree. *)
+
+type cow_op = Ins of int * int | Del of int | Snap
+
+let gen_cow_ops =
+  QCheck2.Gen.(
+    list_size (int_range 50 300)
+      (pair (int_bound 7)
+         (frequency
+            [
+              (6, map2 (fun k v -> Ins (k, v)) (int_bound 150) (int_bound 1000));
+              (4, map (fun k -> Del k) (int_bound 150));
+              (1, return Snap);
+            ])))
+
+let model_agrees t m =
+  BT.check_invariants t = Ok ()
+  && BT.length t = IM.cardinal m
+  && BT.range t = IM.bindings m
+  && List.of_seq (BT.to_seq_range ~lo:40 ~hi:90 t)
+     = List.filter (fun (k, _) -> k >= 40 && k <= 90) (IM.bindings m)
+  && BT.count_range ~lo:40 ~hi:90 t
+     = IM.cardinal (IM.filter (fun k _ -> k >= 40 && k <= 90) m)
+
+let prop_cow_snapshots =
+  QCheck2.Test.make ~name:"snapshots stay equal to their models" ~count:200
+    gen_cow_ops (fun ops ->
+      (* live trees, newest first; each with its model *)
+      let live = ref [ (BT.create ~order:4 (), IM.empty) ] in
+      List.for_all
+        (fun (pick, op) ->
+          let trees = Array.of_list !live in
+          let i = pick mod Array.length trees in
+          let t, m = trees.(i) in
+          (match op with
+          | Ins (k, v) ->
+              BT.insert t k v;
+              trees.(i) <- (t, IM.add k v m)
+          | Del k ->
+              let removed = BT.remove t k in
+              if removed <> IM.mem k m then
+                QCheck2.Test.fail_reportf "remove %d returned %b" k removed;
+              trees.(i) <- (t, IM.remove k m)
+          | Snap -> ());
+          let trees = Array.to_list trees in
+          let trees =
+            match op with
+            | Snap -> (BT.snapshot t, snd (List.nth trees i)) :: trees
+            | Ins _ | Del _ -> trees
+          in
+          (* keep at most six trees alive *)
+          live := List.filteri (fun j _ -> j < 6) trees;
+          List.for_all (fun (t, m) -> model_agrees t m) !live)
+        ops)
+
+(* The owner-token trap: a token that survived a Marshal round trip
+   must never match a token minted afterwards, or a write would mutate
+   a node the snapshot still shares. *)
+let test_cow_after_reload () =
+  let t = BT.create ~order:4 () in
+  for i = 0 to 299 do
+    BT.insert t ((i * 37) mod 301) i
+  done;
+  (* a burst of unrelated snapshots so any token counter moves on *)
+  for _ = 1 to 50 do
+    ignore (BT.snapshot (BT.create ()) : int BT.t)
+  done;
+  let reloaded : int BT.t = Marshal.from_string (Marshal.to_string t []) 0 in
+  let before = BT.range reloaded in
+  let snap = BT.snapshot reloaded in
+  for i = 0 to 299 do
+    if i mod 2 = 0 then ignore (BT.remove reloaded ((i * 37) mod 301) : bool)
+    else BT.insert reloaded ((i * 37) mod 301) (-i)
+  done;
+  for i = 400 to 499 do
+    BT.insert reloaded i i
+  done;
+  check_inv reloaded;
+  check_inv snap;
+  Alcotest.(check (list (pair int int))) "snapshot unchanged" before (BT.range snap);
+  (* and the other way round: writing the snapshot leaves the reloaded
+     tree alone *)
+  let after = BT.range reloaded in
+  for i = 0 to 300 do
+    ignore (BT.remove snap i : bool)
+  done;
+  check_inv snap;
+  Alcotest.(check int) "snapshot drained" 0 (BT.length snap);
+  Alcotest.(check (list (pair int int))) "reloaded unchanged" after
+    (BT.range reloaded);
+  (* the unshared original was never touched by either *)
+  Alcotest.(check (list (pair int int))) "original unchanged" before (BT.range t)
+
 (* --- Order-preserving byte encodings (Encoding) ---
 
    The whole contract of the byte-key tree is one property: encoding
@@ -386,6 +486,10 @@ let () =
           Alcotest.test_case "dense keys" `Quick test_model_dense_keys;
           Alcotest.test_case "ranges" `Quick test_model_range_consistency;
         ] );
+      ( "cow",
+        Alcotest.test_case "snapshot after marshal reload" `Quick
+          test_cow_after_reload
+        :: qcheck [ prop_cow_snapshots ] );
       ( "encoding",
         Alcotest.test_case "bytes tree in value order" `Quick
           test_bytes_tree_value_order

@@ -103,8 +103,8 @@ let test_create_multi_matches_individual () =
     let store = Parser.parse_exn ~strip_ws:false (random_doc rng) in
     let spec = Xvi_core.Lexical_types.double () in
     let sct_ops = Indexer.sct_ops spec.Xvi_core.Lexical_types.sct in
-    let hash_fields = Indexer.empty_fields Indexer.hash_ops store in
-    let state_fields = Indexer.empty_fields sct_ops store in
+    let hash_fields = Indexer.empty_fields Indexer.hash_ops in
+    let state_fields = Indexer.empty_fields sct_ops in
     Indexer.create_multi store
       [ Indexer.Packed (Indexer.hash_ops, hash_fields);
         Indexer.Packed (sct_ops, state_fields) ];

@@ -318,6 +318,77 @@ let test_db_range_equals_scan () =
         (List.sort compare !expected) (List.sort compare got))
     ranges
 
+(* The logical digest must see a single posting move: rebuilding the
+   string index from the same sorted postings reproduces the digest,
+   and flipping one hash bit of one posting changes it. *)
+let test_db_digest_flipped_posting () =
+  let db = Db.of_xml_exn person_doc in
+  let store = Db.store db in
+  let si = Db.string_index db in
+  let keys = ref [] in
+  Store.iter_pre store (fun n ->
+      match Store.kind store n with
+      | Store.Element | Store.Text | Store.Attribute | Store.Document ->
+          keys := SI.pack_key (SI.hash_of si n) n :: !keys
+      | Store.Comment | Store.Pi | Store.Deleted -> ());
+  let keys = Array.of_list !keys in
+  Array.sort Int.compare keys;
+  let digest_with keys =
+    let pos = ref 0 in
+    let strings =
+      SI.of_key_seq
+        (Xvi_core.Indexer.create Xvi_core.Indexer.hash_ops store)
+        ~count:(Array.length keys)
+        (fun () ->
+          let k = keys.(!pos) in
+          incr pos;
+          k)
+    in
+    Db.digest
+      (Db.assemble ~config:(Db.config db) ~store ~strings
+         ~typed:(Db.typed_indices db))
+  in
+  Alcotest.(check string) "same postings, same digest" (Db.digest db)
+    (digest_with keys);
+  let flipped = Array.copy keys in
+  let i = Array.length keys / 2 in
+  flipped.(i) <- flipped.(i) lxor (1 lsl 30);
+  Array.sort Int.compare flipped;
+  Alcotest.(check bool) "one flipped posting changes the digest" false
+    (String.equal (Db.digest db) (digest_with flipped))
+
+(* [Db.copy] shares chunks and tree nodes, yet neither side may see the
+   other's writes — value updates, inserts and deletes alike. *)
+let test_db_copy_independent () =
+  let db = Db.of_xml_exn person_doc in
+  ignore (Db.plane db : Xvi_xml.Pre_plane.t);
+  let before = Db.digest db in
+  let c = Db.copy db in
+  Alcotest.(check string) "copy digests like the original" before (Db.digest c);
+  let texts = Store.text_nodes (Db.store db) in
+  Db.update_text db texts.(0) "Ford";
+  Db.update_text db texts.(4) "12.5";
+  (match Db.insert_xml db ~parent:Store.document "<extra><n>7</n></extra>" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "insert: %s" (Parser.error_to_string e));
+  Db.delete_subtree db texts.(1);
+  Alcotest.(check string) "copy unchanged by writes to the original" before
+    (Db.digest c);
+  ok_or_fail "copy validates" (Db.validate c);
+  ok_or_fail "original validates" (Db.validate db);
+  Alcotest.(check (list int)) "copy answers as before"
+    (List.sort Int.compare [ texts.(0); 3 ])
+    (List.sort Int.compare (Db.lookup_string c "Arthur"));
+  Alcotest.(check int) "no <extra> in the copy" 0
+    (List.length (Db.elements_named c "extra"));
+  Alcotest.(check int) "one <extra> in the original" 1
+    (List.length (Db.elements_named db "extra"));
+  (* and the other way round *)
+  let mid = Db.digest db in
+  Db.update_text c texts.(2) "x";
+  Alcotest.(check string) "original unchanged by writes to the copy" mid
+    (Db.digest db)
+
 let test_db_boolean_integer_indices () =
   let xml = "<flags><f>true</f><f>false</f><f>1</f><f>maybe</f><n>42</n><n>1.5</n></flags>" in
   let config =
@@ -361,6 +432,9 @@ let base_suites =
           Alcotest.test_case "lookup equals scan" `Quick test_db_lookup_equals_scan;
           Alcotest.test_case "range equals scan" `Quick test_db_range_equals_scan;
           Alcotest.test_case "boolean/integer indices" `Quick test_db_boolean_integer_indices;
+          Alcotest.test_case "digest sees one flipped posting" `Quick
+            test_db_digest_flipped_posting;
+          Alcotest.test_case "copy is independent" `Quick test_db_copy_independent;
         ] );
     ]
 

@@ -148,8 +148,6 @@ let test_error_positions () =
         [ 1; 5; 100000 ])
     cases
 
-let db_digest db = Digest.string (Marshal.to_string db [ Marshal.Closures ])
-
 let whole_db ?(config = Db.Config.default) doc =
   match Parser.parse doc with
   | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
@@ -161,26 +159,26 @@ let streamed_db ?config ?batch_rows source =
   | Error e -> Alcotest.failf "ingest: %s" (Parser.error_to_string e)
 
 let test_streamed_identity_fixed () =
-  let oracle = db_digest (whole_db tricky_doc) in
+  let oracle = Db.digest (whole_db tricky_doc) in
   List.iter
     (fun (chunk, batch_rows) ->
       let db = streamed_db ~batch_rows (chunked chunk tricky_doc) in
       Alcotest.(check string)
         (Printf.sprintf "chunk=%d batch_rows=%d" chunk batch_rows)
-        oracle (db_digest db))
+        oracle (Db.digest db))
     [ (1, 1); (1, 100000); (7, 3); (4096, 8); (100000, 100000) ]
 
 (* the qcheck property: any generated document, any chunking, any batch
-   budget — the streamed build is marshal-bit-identical to the serial
+   budget — the streamed build is digest-identical to the serial
    whole-document build *)
 let streamed_identity_prop =
   QCheck.Test.make ~count:25 ~name:"streamed ingest = whole-document build"
     QCheck.(triple small_int (int_range 1 64) (int_range 1 2000))
     (fun (seed, chunk, batch_rows) ->
       let doc = Xvi_check.Gen.document (Xvi_util.Prng.create seed) in
-      let oracle = db_digest (whole_db doc) in
+      let oracle = Db.digest (whole_db doc) in
       let db = streamed_db ~batch_rows (chunked chunk doc) in
-      String.equal oracle (db_digest db))
+      String.equal oracle (Db.digest db))
 
 (* serializer round-trip: canonical bytes -> 1-byte-chunked SAX ingest
    -> serializer must reproduce the canonical bytes exactly *)
@@ -215,8 +213,8 @@ let test_builder_manual_batches () =
   Alcotest.(check int) "nothing pending" 0 (Ingest.Builder.pending_rows b);
   let db = Ingest.Builder.finish b in
   Alcotest.(check string) "bit-identical"
-    (db_digest (whole_db tricky_doc))
-    (db_digest db)
+    (Db.digest (whole_db tricky_doc))
+    (Db.digest db)
 
 (* --- B+tree streaming bulk load --- *)
 

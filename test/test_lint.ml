@@ -122,6 +122,10 @@ let () =
           deep_witness "d2_fire.ml" ~rule:"D2" ~line:22
             ~first:"D2_fire.publish_then_touch" ~last:"Bigvec.set";
           deep_quiet "d2_quiet.ml";
+          deep_fires "d2_tree_fire.ml" [ ("D2", 23); ("D2", 29) ];
+          deep_witness "d2_tree_fire.ml" ~rule:"D2" ~line:23
+            ~first:"D2_tree_fire.publish_then_insert" ~last:"Btree.insert";
+          deep_quiet "d2_tree_quiet.ml";
           deep_fires "d3_fire.ml" [ ("D3", 11); ("D3", 17); ("D3", 20) ];
           deep_witness "d3_fire.ml" ~rule:"D3" ~line:11
             ~first:"D3_fire.commit_no_fsync" ~last:"D3_fire.replica_apply";

@@ -75,9 +75,9 @@ let check_parallel_build store jobs =
   Pool.with_pool ~jobs (fun pool ->
       let sct_d_ops = Indexer.sct_ops double_sct in
       let sct_t_ops = Indexer.sct_ops datetime_sct in
-      let hash_fields = Indexer.empty_fields Indexer.hash_ops store in
-      let d_fields = Indexer.empty_fields sct_d_ops store in
-      let t_fields = Indexer.empty_fields sct_t_ops store in
+      let hash_fields = Indexer.empty_fields Indexer.hash_ops in
+      let d_fields = Indexer.empty_fields sct_d_ops in
+      let t_fields = Indexer.empty_fields sct_t_ops in
       Indexer.create_multi ~pool store
         [
           Indexer.Packed (Indexer.hash_ops, hash_fields);

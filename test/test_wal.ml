@@ -37,33 +37,6 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-let db_digest db = Digest.string (Marshal.to_string db [ Marshal.Closures ])
-
-(* Logical content fingerprint, independent of heap representation —
-   marshal digests only compare databases that both went through a
-   snapshot round-trip, so the live-vs-recovered check uses this. *)
-let content_fingerprint db =
-  let store = Db.store db in
-  let buf = Buffer.create 1024 in
-  Store.iter_pre store (fun n ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d:%d:%s:%s;" n
-           (match Store.kind store n with
-           | Store.Document -> 0
-           | Store.Element -> 1
-           | Store.Text -> 2
-           | Store.Attribute -> 3
-           | Store.Comment -> 4
-           | Store.Pi -> 5
-           | Store.Deleted -> 6)
-           (match Store.kind store n with
-           | Store.Element | Store.Attribute -> Store.name store n
-           | _ -> "")
-           (match Store.kind store n with
-           | Store.Text | Store.Attribute -> Store.text store n
-           | _ -> "")));
-  Digest.string (Buffer.contents buf)
-
 let records_for_roundtrip =
   [
     Wal.Begin { txn = 0 };
@@ -392,21 +365,21 @@ let test_durable_recovery_idempotent () =
       (match Durable.insert_xml t ~parent:Store.document "<tail>end</tail>" with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "insert: %s" (Xvi_xml.Parser.error_to_string e));
-      let live_fp = content_fingerprint (Durable.db t) in
+      let live_fp = Db.digest (Durable.db t) in
       Durable.close t;
       let r1 = Durable.open_exn dir in
-      let d1 = db_digest (Durable.db r1) in
+      let d1 = Db.digest (Durable.db r1) in
       (match Durable.last_replay r1 with
       | Some rep ->
           Alcotest.(check int) "replayed txns" 3 rep.Wal.stats.Wal.applied_txns
       | None -> Alcotest.fail "no replay report");
       Durable.close r1;
       let r2 = Durable.open_exn dir in
-      let d2 = db_digest (Durable.db r2) in
+      let d2 = Db.digest (Durable.db r2) in
       Durable.close r2;
       Alcotest.(check bool) "recovery matches live content" true
-        (content_fingerprint (Durable.db r2) = live_fp);
-      Alcotest.(check bool) "double recovery bit-identical" true (d1 = d2);
+        (Db.digest (Durable.db r2) = live_fp);
+      Alcotest.(check bool) "double recovery identical" true (d1 = d2);
       (* the recovered store answers queries *)
       let r3 = Durable.open_exn dir in
       Alcotest.(check bool) "query works" true
@@ -464,12 +437,12 @@ let test_insert_parent_validated () =
       Alcotest.(check int) "nothing logged past the legitimate delete"
         after_delete
         (Durable.stats t).Durable.wal_bytes;
-      let live_fp = content_fingerprint (Durable.db t) in
+      let live_fp = Db.digest (Durable.db t) in
       Durable.close t;
       (* the log replays cleanly: no doomed record ever got in *)
       let r = Durable.open_exn dir in
       Alcotest.(check bool) "recovery intact" true
-        (content_fingerprint (Durable.db r) = live_fp);
+        (Db.digest (Durable.db r) = live_fp);
       Durable.close r)
 
 (* Structural deletes bypass the Txn version table; the commit-time
@@ -499,11 +472,11 @@ let test_delete_bypass_is_conflict () =
       | Ok () -> Alcotest.fail "commit applied a write to a deleted node");
       Alcotest.(check int) "conflicted commit logged nothing" wal_after_delete
         (Durable.stats t).Durable.wal_bytes;
-      let live_fp = content_fingerprint (Durable.db t) in
+      let live_fp = Db.digest (Durable.db t) in
       Durable.close t;
       let r = Durable.open_exn dir in
       Alcotest.(check bool) "recovery intact after conflict" true
-        (content_fingerprint (Durable.db r) = live_fp);
+        (Db.digest (Durable.db r) = live_fp);
       Durable.close r)
 
 let test_create_refuses_existing () =

@@ -154,6 +154,14 @@ let classify_comps comps =
   | ("set" | "unsafe_set" | "push" | "own" | "append_string") :: rest
     when List.exists (fun c -> c = "Bigvec") rest ->
       bit Mut
+  (* the copy-on-write index structures: B+tree writes path-copy only
+     nodes another tree can reach, and index-column writes clone only
+     chunks a snapshot shares — after publication in the same critical
+     section they would land in what the new epoch still shares *)
+  | ("insert" | "remove") :: rest
+    when List.exists (fun c -> c = "Btree" || c = "BT") rest ->
+      bit Mut
+  | "set" :: "Indexer" :: _ -> bit Mut
   | ("set" | "exchange" | "compare_and_set") :: "Atomic" :: _ ->
       bit Pub (* refined by element type at the call site *)
   | "fsync" :: ("Unix" | "UnixLabels") :: _ -> bit Fsync
