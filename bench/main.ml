@@ -1214,6 +1214,108 @@ let publication_curve () =
         p50 publish_ms *. 1000.0 ))
     factors
 
+(* The wire codec on the serve path's widest reply: encode and decode of
+   a 4,000-id [nodes] reply (the xvibench wide range, 5-digit ids),
+   [read_frame]'s read syscalls per frame when header and payload have
+   arrived together, and [escape] of a 1 MiB snapshot slice, the
+   replication [Chunk] size. Syscalls are the reading thread's [syscr]
+   from /proc/thread-self/io (Linux), net of reading that file itself;
+   -1 where it does not exist. *)
+type codec = {
+  reply_bytes : int;
+  encode_us : float;
+  decode_us : float;
+  decode_minor_words : float;
+  request_reads : float;
+  reply_reads : float;
+  chunk_escaped_bytes : int;
+  escape_ms : float;
+}
+
+let codec_micro () =
+  let module Protocol = Xvi_serve.Protocol in
+  let rounds = if !quick then 50 else 1000 in
+  let ids = List.init 4000 (fun i -> 20_000 + (i * 23)) in
+  let reply = Protocol.Nodes ids in
+  let payload = Protocol.encode_response reply in
+  let decode () =
+    match Protocol.decode_response payload with
+    | Ok (Protocol.Nodes l) when List.length l = 4000 -> ()
+    | _ -> failwith "codec: 4,000-id reply did not round-trip"
+  in
+  let encode_us =
+    1000.0
+    *. Timing.median_ms rounds (fun () ->
+           ignore (Protocol.encode_response reply : string))
+  in
+  let decode_us = 1000.0 *. Timing.median_ms rounds decode in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    decode ()
+  done;
+  let decode_minor_words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  let syscr () =
+    match In_channel.with_open_bin "/proc/thread-self/io" In_channel.input_all with
+    | text ->
+        List.fold_left
+          (fun acc line ->
+            match String.split_on_char ':' line with
+            | [ "syscr"; n ] -> int_of_string (String.trim n)
+            | _ -> acc)
+          (-1) (String.split_on_char '\n' text)
+    | exception Sys_error _ -> -1
+  in
+  let reads_per_frame frame_payload =
+    let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close r;
+        Unix.close w)
+      (fun () ->
+        let c0 = syscr () in
+        let c1 = syscr () in
+        let total = ref 0 in
+        for _ = 1 to rounds do
+          Protocol.write_frame w frame_payload;
+          let before = syscr () in
+          (match Protocol.read_frame r with
+          | Ok p when String.length p = String.length frame_payload -> ()
+          | _ -> failwith "codec: frame did not round-trip");
+          total := !total + (syscr () - before - (c1 - c0))
+        done;
+        if c0 < 0 then -1.0 else float_of_int !total /. float_of_int rounds)
+  in
+  let request_reads =
+    reads_per_frame (Protocol.encode_request (Protocol.Lookup_string "Arthur"))
+  in
+  let reply_reads = reads_per_frame payload in
+  let chunk =
+    let path = Filename.temp_file "xvi_codec" ".snap" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        (match Xvi_core.Db.of_xml (Xvi_workload.Xmark.generate ~seed:42 ~factor:0.25 ()) with
+        | Ok db -> Xvi_core.Snapshot.save db path
+        | Error e -> failwith (Parser.error_to_string e));
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        String.sub s 0 (min (String.length s) (1 lsl 20)))
+  in
+  let escape_ms =
+    Timing.median_ms
+      (if !quick then 3 else 21)
+      (fun () -> ignore (Protocol.escape chunk : string))
+  in
+  {
+    reply_bytes = String.length payload;
+    encode_us;
+    decode_us;
+    decode_minor_words;
+    request_reads;
+    reply_reads;
+    chunk_escaped_bytes = String.length (Protocol.escape chunk);
+    escape_ms;
+  }
+
 let serve_bench () =
   print_endline
     "== serve: epoch-pinned read QPS and cross-session commit throughput ==";
@@ -1231,6 +1333,8 @@ let serve_bench () =
     | Error e -> failwith (Parser.error_to_string e)
   in
   let client_counts = [ 1; 2; 4; 8 ] in
+  (* first, on a fresh heap: the later parts leave large dead databases *)
+  let codec = codec_micro () in
 
   (* --- read QPS: N reader domains, each on its own session --- *)
   let read_duration = if !quick then 0.3 else 1.0 in
@@ -1409,6 +1513,19 @@ let serve_bench () =
          ])
        publication);
 
+  Table.print
+    ~header:[ "codec"; "value" ]
+    [
+      [ "4,000-id reply bytes"; string_of_int codec.reply_bytes ];
+      [ "encode p50 us"; Printf.sprintf "%.1f" codec.encode_us ];
+      [ "decode p50 us"; Printf.sprintf "%.1f" codec.decode_us ];
+      [ "decode minor words"; Printf.sprintf "%.0f" codec.decode_minor_words ];
+      [ "reads per request frame"; Printf.sprintf "%.2f" codec.request_reads ];
+      [ "reads per reply frame"; Printf.sprintf "%.2f" codec.reply_reads ];
+      [ "1 MiB chunk escaped bytes"; string_of_int codec.chunk_escaped_bytes ];
+      [ "escape 1 MiB ms"; Printf.sprintf "%.2f" codec.escape_ms ];
+    ];
+
   let json =
     Printf.sprintf
       "{\n\
@@ -1421,7 +1538,8 @@ let serve_bench () =
       \  \"commits\": %d,\n\
       \  \"read\": [\n%s\n  ],\n\
       \  \"commit\": [\n%s\n  ],\n\
-      \  \"publication\": [\n%s\n  ]\n\
+      \  \"publication\": [\n%s\n  ],\n\
+      \  \"codec\": %s\n\
        }\n"
       (git_rev ()) !quick cores factor read_duration commits
       (String.concat ",\n"
@@ -1450,6 +1568,15 @@ let serve_bench () =
                  \"update_p50_us\": %.1f, \"publish_p50_us\": %.1f }"
                 f nodes bytes ups pub)
             publication))
+      (Printf.sprintf
+         "{ \"reply_ids\": 4000, \"reply_bytes\": %d, \"encode_p50_us\": %.1f, \
+          \"decode_p50_us\": %.1f, \"decode_minor_words\": %.0f, \
+          \"reads_per_request_frame\": %.2f, \"reads_per_reply_frame\": %.2f, \
+          \"chunk_bytes\": 1048576, \"chunk_escaped_bytes\": %d, \
+          \"escape_chunk_ms\": %.2f }"
+         codec.reply_bytes codec.encode_us codec.decode_us
+         codec.decode_minor_words codec.request_reads codec.reply_reads
+         codec.chunk_escaped_bytes codec.escape_ms)
   in
   let oc = open_out "BENCH_serve.json" in
   output_string oc json;

@@ -8,11 +8,23 @@
 
     {v <len-decimal> "\n" <len bytes> v}
 
+    The length is canonical decimal ([0|[1-9][0-9]*], at most
+    {!max_frame}); a reader takes no other spelling.
+
     Frames carry one request or one response. String arguments are
-    percent-encoded ([%XX] for bytes [< 0x21], [%], and [0x7F]) so any
-    XML content — spaces, newlines, arbitrary bytes — travels as a
-    single token. An empty argument travels as an empty token (the
-    separating space is still present), so it round-trips too.
+    percent-encoded (uppercase [%XX] for bytes [< 0x21], [%], [=] and
+    [0x7F]) so any XML content — spaces, newlines, arbitrary bytes —
+    travels as a single token. An empty argument travels as an empty
+    token (the separating space is still present), so it round-trips
+    too.
+
+    Integers are canonical decimal, exactly as [string_of_int] spells
+    them: [0|-?[1-9][0-9]*] within [int]'s range. Decoders reject every
+    other spelling ([+5], [007], [-0], [0x10], [1_000], [0b11], [0u5])
+    and every out-of-range value, so a decoded value re-encodes to the
+    bytes it came from. Float bounds are [%.17g] as the encoder writes
+    them, or a plain decimal of at most 17 digits ([0.1]) as a person
+    types one.
 
     {2 Requests}
 
@@ -155,8 +167,21 @@ val max_frame : int
     prefix must not allocate unbounded memory. *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** May raise [Unix.Unix_error] (broken pipe etc.) — the server maps
-    that to dropping the connection. *)
+(** Header and payload go out in one buffer, one [write]. May raise
+    [Unix.Unix_error] (broken pipe etc.) — the server maps that to
+    dropping the connection. *)
+
+val write_response : Unix.file_descr -> response -> unit
+(** [write_frame fd (encode_response r)], encoded straight into the
+    frame buffer: no intermediate payload string. *)
 
 val read_frame : Unix.file_descr -> (string, [ `Closed | `Malformed of string ]) result
-(** [`Closed] on clean EOF before any byte of a frame. *)
+(** [`Closed] on clean EOF before any byte of a frame.
+
+    Never reads a byte past the end of its own frame, so frames sent
+    back to back on one descriptor are read one call each. While the
+    header is incomplete, its digits so far bound the frame's remaining
+    length from below, which makes reading ahead safe: a frame whose
+    header and payload have arrived takes 2 [read]s, or 3 when its
+    header has 3 or more digits (plus one per 64 KiB of payload, the
+    [Unix.read] chunk). *)

@@ -211,7 +211,7 @@ let exec t session req =
 
 let serve_connection t fd alive =
   let session = Session.create (engine t) in
-  let respond r = Protocol.write_frame fd (Protocol.encode_response r) in
+  let respond r = Protocol.write_response fd r in
   let rec loop () =
     match Protocol.read_frame fd with
     | Error `Closed -> ()

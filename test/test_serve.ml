@@ -195,13 +195,54 @@ let test_decode_rejects_garbage () =
       "lookup-typed xs:double nope _";
       "hello extra";
       "insert 3";
+      (* only the integers the encoder writes *)
+      "value 0x10";
+      "value +5";
+      "value 1_000";
+      "value 0b11";
+      "value 0u5";
+      "value 0o7";
+      "value 007";
+      "value -0";
+      "value 99999999999999999999";
+      "value 4611686018427387904";
+      "delete -4611686018427387905";
+      "repl-pull 1 -";
+      "value ";
+      "set  5 v";
+      "lookup-typed t 1_0 _";
+      "lookup-typed t 0x1p3 _";
+      "lookup-typed t 1.59999999999999999999 _";
     ];
   List.iter
     (fun bad ->
       match Protocol.decode_response bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "decode_response %S succeeded" bad)
-    [ ""; "what"; "nodes"; "nodes two"; "epoch 1 2"; "lsn x" ]
+    [
+      "";
+      "what";
+      "nodes";
+      "nodes two";
+      "epoch 1 2";
+      "lsn x";
+      "nodes 1 0x10";
+      "nodes 1 +5";
+      "nodes 1 1_000";
+      "lsn 0b11";
+      "lsn 0u5";
+      "lsn 99999999999999999999";
+      "nodes 99999999999999999999";
+      "nodes 1 99999999999999999999";
+      "nodes 2 1";
+      "nodes 1 1 2";
+      "nodes -1";
+      "nodes-lsn 5 1";
+      "value";
+      "stats a=b=c";
+      "stats a";
+      "epoch 1 2 3 4";
+    ]
 
 let test_framing () =
   let r, w = Unix.pipe () in
@@ -246,7 +287,251 @@ let test_framing_malformed () =
   (* a length beyond [max_frame] must be refused before allocation *)
   check_bad (string_of_int (Protocol.max_frame + 1) ^ "\n");
   (* truncated payload: length promises more bytes than arrive *)
-  check_bad "10\nshort"
+  check_bad "10\nshort";
+  (* only the lengths [write_frame] writes *)
+  check_bad "0x10\n0123456789abcdef";
+  check_bad "+5\nhello";
+  check_bad "1_0\n0123456789";
+  check_bad "0b11\nabc";
+  check_bad "0u5\nhello";
+  check_bad "05\nhello";
+  check_bad "00\n";
+  check_bad "-0\n";
+  check_bad "\nhello";
+  check_bad "99999999999999999999\n"
+
+(* --- wire bytes ---------------------------------------------------- *)
+
+(* Every constructor's exact bytes, as the codec before the in-place
+   writer and cursor produced them: peers of other builds depend on
+   every one. *)
+let all_bytes = String.init 256 Char.chr
+
+let golden_requests =
+  [
+    (Protocol.Hello, "hello");
+    (Protocol.Pin, "pin");
+    (Protocol.Lookup_string "two words", "lookup-string two%20words");
+    (Protocol.Lookup_contains "needle\n%", "lookup-contains needle%0A%25");
+    (Protocol.Lookup_element_contains "", "lookup-element-contains ");
+    (Protocol.Lookup_named "k=v", "lookup-named k%3Dv");
+    ( Protocol.Lookup_typed ("xs:double", Some (-0.5), None),
+      "lookup-typed xs:double -0.5 _" );
+    ( Protocol.Lookup_typed ("xs:dateTime", Some 0.1, Some 1e300),
+      "lookup-typed xs:dateTime 0.10000000000000001 1.0000000000000001e+300" );
+    (Protocol.Value max_int, "value 4611686018427387903");
+    (Protocol.Value (-42), "value -42");
+    (Protocol.Begin, "begin");
+    ( Protocol.Set (0, "a value with spaces"),
+      "set 0 a%20value%20with%20spaces" );
+    (Protocol.Commit, "commit");
+    (Protocol.Commit_deferred, "commit-deferred");
+    (Protocol.Abort, "abort");
+    ( Protocol.Insert (7, "<a b=\"c\">t &amp; u</a>"),
+      "insert 7 <a%20b%3D\"c\">t%20&amp;%20u</a>" );
+    (Protocol.Delete min_int, "delete -4611686018427387904");
+    (Protocol.Stats, "stats");
+    (Protocol.Sync, "sync");
+    (Protocol.Quit, "quit");
+    (Protocol.Shutdown, "shutdown");
+    (Protocol.Repl_info, "repl-info");
+    (Protocol.Repl_snapshot 1048576, "repl-snapshot 1048576");
+    ( Protocol.Repl_pull { from_lsn = 1; max_bytes = max_int },
+      "repl-pull 1 4611686018427387903" );
+    (Protocol.Repl_digest { anchor = -1; lsn = 42 }, "repl-digest -1 42");
+    (Protocol.Promote, "promote");
+  ]
+
+let golden_responses =
+  [
+    (Protocol.Ok_, "ok");
+    ( Protocol.Epoch { epoch = 3; lsn = max_int; commits = 0 },
+      "epoch 3 4611686018427387903 0" );
+    (Protocol.Nodes [], "nodes 0");
+    (Protocol.Nodes [ 1; 2; 300 ], "nodes 3 1 2 300");
+    ( Protocol.Nodes [ -7; min_int; max_int; 0 ],
+      "nodes 4 -7 -4611686018427387904 4611686018427387903 0" );
+    (Protocol.Nodes_lsn ([ 4; 5 ], 99), "nodes-lsn 99 2 4 5");
+    (Protocol.Nodes_lsn ([], -1), "nodes-lsn -1 0");
+    ( Protocol.Value_r "string value\nwith newline",
+      "value string%20value%0Awith%20newline" );
+    (Protocol.Value_r "", "value ");
+    (Protocol.Lsn 123456, "lsn 123456");
+    ( Protocol.Stats_r [ ("epoch", "4"); ("a=b", "two words"); ("", "") ],
+      "stats epoch=4 a%3Db=two%20words =" );
+    (Protocol.Stats_r [], "stats");
+    ( Protocol.Conflict_r { node = -3; reason = "lost to txn 3" },
+      "conflict -3 lost%20to%20txn%203" );
+    (Protocol.Err "something % broke", "err something%20%25%20broke");
+    (Protocol.Bye, "bye");
+    ( Protocol.Repl_info_r { role = "follower"; last_lsn = 10; durable_lsn = 9; checkpoint_lsn = 0; applied_lsn = 8; leader_lsn = max_int },
+      "repl-info follower 10 9 0 8 4611686018427387903" );
+    (Protocol.Chunk { total = 0; data = "" }, "chunk 0 ");
+    ( Protocol.Chunk { total = 256; data = all_bytes },
+      "chunk 256 %00%01%02%03%04%05%06%07%08%09%0A%0B%0C%0D%0E%0F%10%11%12%\
+       13%14%15%16%17%18%19%1A%1B%1C%1D%1E%1F%20!\"#$%25&'()*+,-./0123456789:\
+       ;<%3D>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}\
+       ~%7F\128\129\130\131\132\133\134\135\136\137\138\139\140\141\142\143\
+       \144\145\146\147\148\149\150\151\152\153\154\155\156\157\158\159\160\
+       \161\162\163\164\165\166\167\168\169\170\171\172\173\174\175\176\177\
+       \178\179\180\181\182\183\184\185\186\187\188\189\190\191\192\193\194\
+       \195\196\197\198\199\200\201\202\203\204\205\206\207\208\209\210\211\
+       \212\213\214\215\216\217\218\219\220\221\222\223\224\225\226\227\228\
+       \229\230\231\232\233\234\235\236\237\238\239\240\241\242\243\244\245\
+       \246\247\248\249\250\251\252\253\254\255" );
+    ( Protocol.Frames_r { durable_lsn = 17; data = "\x01\x02 frame % bytes" },
+      "frames 17 %01%02%20frame%20%25%20bytes" );
+    (Protocol.Digest_r None, "digest _");
+    ( Protocol.Digest_r (Some "d41d8cd98f00b204e9800998ecf8427e"),
+      "digest d41d8cd98f00b204e9800998ecf8427e" );
+    (Protocol.Snapshot_needed_r 23, "snapshot-needed 23");
+  ]
+
+(* 4,000 ids: a wide range reply, pinned by length and digest *)
+let many_ids = List.init 4000 (fun i -> 100_000 + (i * 7919))
+
+let read_all fd =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        go ()
+  in
+  go ()
+
+(* what [write] puts on a pipe; [write] must fit the pipe's buffer *)
+let pipe_bytes write =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      Fun.protect ~finally:(fun () -> Unix.close w) (fun () -> write w);
+      read_all r)
+
+let test_wire_golden () =
+  let check what encode decode (v, bytes) =
+    Alcotest.(check string) what bytes (encode v);
+    match decode bytes with
+    | Ok v' when v' = v -> ()
+    | Ok _ -> Alcotest.failf "%s %S decodes to another value" what bytes
+    | Error m -> Alcotest.failf "%s %S rejected: %s" what bytes m
+  in
+  List.iter
+    (check "request" Protocol.encode_request Protocol.decode_request)
+    golden_requests;
+  List.iter
+    (check "response" Protocol.encode_response Protocol.decode_response)
+    golden_responses;
+  let digest s = Digest.to_hex (Digest.string s) in
+  let big = Protocol.encode_response (Protocol.Nodes many_ids) in
+  Alcotest.(check int) "4,000-id reply length" 34645 (String.length big);
+  Alcotest.(check string) "4,000-id reply digest"
+    "c53c45f0c6b97ee3f5f0d6c22992c2e8" (digest big);
+  Alcotest.(check string) "4,000-id reply head" "nodes 4000 100000 107919 "
+    (String.sub big 0 25);
+  (match Protocol.decode_response big with
+  | Ok (Protocol.Nodes l) when l = many_ids -> ()
+  | _ -> Alcotest.fail "4,000-id reply does not decode to its ids");
+  (* framed: "<len>\n" then the payload, from both frame writers *)
+  Alcotest.(check string) "empty frame" "0\n"
+    (pipe_bytes (fun w -> Protocol.write_frame w ""));
+  Alcotest.(check string) "small frame" "5\nhello"
+    (pipe_bytes (fun w -> Protocol.write_frame w "hello"));
+  List.iter
+    (fun (what, write) ->
+      let frame = pipe_bytes write in
+      Alcotest.(check string) what "276b0a3560121d321568f86d68a96211"
+        (digest frame);
+      Alcotest.(check string) what ("34645\n" ^ big) frame)
+    [
+      ("write_frame", fun w -> Protocol.write_frame w big);
+      ( "write_response",
+        fun w -> Protocol.write_response w (Protocol.Nodes many_ids) );
+    ]
+
+(* the escaping rule, spelled with Printf: uppercase %XX *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      let b = Char.code c in
+      if b < 0x21 || b = 0x7f || c = '%' || c = '=' then
+        Buffer.add_string buf (Printf.sprintf "%%%02X" b)
+      else Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let test_escape_every_byte () =
+  for b = 0 to 255 do
+    let s = Printf.sprintf "a%cb" (Char.chr b) in
+    Alcotest.(check string)
+      (Printf.sprintf "escape byte %d" b)
+      (reference_escape s) (Protocol.escape s)
+  done;
+  (* a replication chunk's worth of binary data *)
+  let rng = Random.State.make [| 15 |] in
+  let blob = String.init (1 lsl 20) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  Alcotest.(check string) "1 MiB blob" (reference_escape blob)
+    (Protocol.escape blob)
+
+(* Back-to-back frames whose payloads sit on header-digit boundaries and
+   across the 64 KiB Unix buffer: each [read_frame] must return exactly
+   its own payload, so none may read into the next frame. *)
+let frame_sizes = [ 0; 1; 9; 10; 99; 100; 9_999; 10_000; 70_000 ]
+
+let frame_payload k n = String.init n (fun i -> Char.chr (33 + ((i + k) mod 90)))
+
+let check_frames_through (r, w) ~dribble =
+  let payloads = List.mapi frame_payload frame_sizes in
+  (* one byte per [write] when dribbling, so every read comes up short *)
+  let send p =
+    if not dribble then Protocol.write_frame w p
+    else
+      let frame = string_of_int (String.length p) ^ "\n" ^ p in
+      for i = 0 to String.length frame - 1 do
+        ignore (Unix.write_substring w frame i 1 : int)
+      done
+  in
+  let writer =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Unix.close w) (fun () -> List.iter send payloads))
+  in
+  (* on failure, closing [r] fails the blocked writer with EPIPE *)
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      match Domain.join writer with
+      | () -> ()
+      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ())
+    (fun () ->
+      List.iter
+        (fun p ->
+          match Protocol.read_frame r with
+          | Ok got ->
+              if not (String.equal got p) then
+                Alcotest.failf "frame of %d bytes read back as %d bytes"
+                  (String.length p) (String.length got)
+          | Error `Closed -> Alcotest.fail "premature close"
+          | Error (`Malformed m) -> Alcotest.failf "malformed: %s" m)
+        payloads;
+      match Protocol.read_frame r with
+      | Error `Closed -> ()
+      | Ok p -> Alcotest.failf "read %d bytes past the last frame" (String.length p)
+      | Error (`Malformed m) -> Alcotest.failf "malformed at EOF: %s" m)
+
+let test_framing_no_overread () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let socketpair () = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  List.iter
+    (fun (make, dribble) -> check_frames_through (make ()) ~dribble)
+    [
+      ((fun () -> Unix.pipe ()), false);
+      (socketpair, false);
+      ((fun () -> Unix.pipe ()), true);
+      (socketpair, true);
+    ]
 
 (* --- protocol codec properties ------------------------------------- *)
 
@@ -306,7 +591,11 @@ let gen_request =
 let gen_response =
   let open QCheck2.Gen in
   let bytes = gen_bytes in
-  let ids = list_size (int_bound 8) gen_nat in
+  (* up to a wide range reply, over every id width *)
+  let ids =
+    list_size (int_bound 5000)
+      (oneof [ int_bound 9; int_bound 1_000_000; int_bound max_int ])
+  in
   oneof
     [
       return Protocol.Ok_;
@@ -377,6 +666,81 @@ let prop_response_roundtrip =
       match Protocol.decode_response (Protocol.encode_response resp) with
       | Ok resp' -> resp = resp'
       | Error _ -> false)
+
+(* The decoders are total: no input makes them raise. *)
+let decodes_quietly s =
+  (match Protocol.decode_request s with Ok _ | Error _ -> ());
+  match Protocol.decode_response s with Ok _ | Error _ -> ()
+
+(* bytes shaped like payloads — verbs, digits, signs, spaces, escapes —
+   reach further into the decoders than uniform noise *)
+let gen_payload_like =
+  let open QCheck2.Gen in
+  let verbs =
+    [ "nodes"; "nodes-lsn"; "value"; "stats"; "epoch"; "lookup-typed"; "set"; "repl-info"; "digest" ]
+  in
+  let token =
+    oneof
+      [
+        string_size ~gen:(oneofl [ '0'; '1'; '9'; '-'; '%'; '='; 'A'; '_'; '.'; 'e' ]) (int_bound 24);
+        map string_of_int int;
+        return "99999999999999999999";
+      ]
+  in
+  map2
+    (fun verb toks -> String.concat " " (verb :: toks))
+    (oneofl verbs)
+    (list_size (int_bound 6) token)
+
+let prop_decode_total =
+  QCheck2.Test.make ~name:"decoders never raise" ~count:2000
+    QCheck2.Gen.(oneof [ gen_bytes; gen_payload_like ])
+    (fun s ->
+      decodes_quietly s;
+      true)
+
+(* One byte-level slip of a valid encoding: a digit turned to 'x', a
+   space dropped or doubled, or overflow digits appended. *)
+let mutate s (kind, pick) =
+  let positions p =
+    List.filter (fun i -> p s.[i]) (List.init (String.length s) Fun.id)
+  in
+  let at p f =
+    match positions p with
+    | [] -> s ^ "99999999999999999999"
+    | l -> f (List.nth l (pick mod List.length l))
+  in
+  let splice i ~drop ins =
+    String.sub s 0 i ^ ins ^ String.sub s (i + drop) (String.length s - i - drop)
+  in
+  match kind with
+  | 0 -> at (fun c -> c >= '0' && c <= '9') (fun i -> splice i ~drop:1 "x")
+  | 1 -> at (Char.equal ' ') (fun i -> splice i ~drop:1 "")
+  | 2 -> at (Char.equal ' ') (fun i -> splice i ~drop:0 " ")
+  | _ -> s ^ "99999999999999999999"
+
+let gen_mutant =
+  let open QCheck2.Gen in
+  map2 mutate
+    (oneof
+       [
+         map Protocol.encode_request gen_request;
+         map Protocol.encode_response gen_response;
+       ])
+    (pair (int_bound 3) (int_bound 1_000_000))
+
+(* The decoders take only what the encoders write: a slipped payload is
+   an [Error], or decodes to a value whose encoding is that payload. *)
+let prop_mutants =
+  QCheck2.Test.make ~name:"mutants fail or re-encode" ~count:2000 gen_mutant
+    (fun m ->
+      (match Protocol.decode_request m with
+      | Ok req -> String.equal (Protocol.encode_request req) m
+      | Error _ -> true)
+      &&
+      match Protocol.decode_response m with
+      | Ok resp -> String.equal (Protocol.encode_response resp) m
+      | Error _ -> true)
 
 (* --- engine: memory ------------------------------------------------ *)
 
@@ -845,6 +1209,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_escape_roundtrip;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_response_roundtrip;
+          Alcotest.test_case "wire golden bytes" `Quick test_wire_golden;
+          Alcotest.test_case "escape every byte" `Quick test_escape_every_byte;
+          Alcotest.test_case "framing never over-reads" `Quick
+            test_framing_no_overread;
+          QCheck_alcotest.to_alcotest prop_decode_total;
+          QCheck_alcotest.to_alcotest prop_mutants;
         ] );
       ( "engine",
         [
