@@ -613,11 +613,11 @@ let query_cmd =
       if naive_only then naive
       else begin
         let build_ms = open_ms in
-        let indexed, fast_ms =
+        let (indexed, plan), fast_ms =
           Xvi_util.Timing.time_ms (fun () ->
-              List.filter in_scope (Xvi_xpath.Xpath.eval_indexed db xpath))
+              let hits, plan = Xvi_xpath.Xpath.eval_with_plan db xpath in
+              (List.filter in_scope hits, plan))
         in
-        let plan = Xvi_xpath.Xpath.last_plan () in
         Printf.printf
           "indexed: %d matches in %s (open/build %s; %d string / %d double / \
            %d name index probes)\n"

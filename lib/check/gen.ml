@@ -6,6 +6,7 @@ type op =
   | Update_texts of (int * string) list
   | Delete_subtree of int
   | Insert_xml of int * string
+  | Insert_rejected of int * string
   | Compact
   | Snapshot_roundtrip
   | Txn of txn_script
@@ -130,6 +131,22 @@ let fragment rng =
   if Buffer.length buf = 0 then element buf rng 3;
   Buffer.contents buf
 
+(* A fragment every insert must reject: a well-formed one cut short
+   inside its last element (the outer element never closes), or one
+   followed by a stray end tag or an unknown entity. *)
+let bad_fragment rng =
+  let buf = Buffer.create 64 in
+  if Prng.int rng 2 = 0 then Buffer.add_string buf (fragment rng);
+  let tail = Buffer.length buf in
+  element buf rng 3;
+  let whole = Buffer.contents buf in
+  match Prng.int rng 4 with
+  | 0 -> whole ^ "</" ^ Prng.choose rng names ^ ">"
+  | 1 -> whole ^ "&bogus;"
+  | _ ->
+      String.sub whole 0
+        (tail + 1 + Prng.int rng (String.length whole - tail - 1))
+
 (* --- operations --- *)
 
 let selector rng = Prng.int rng 1_000_000
@@ -155,7 +172,10 @@ let op rng =
           abort_a = Prng.int rng 5 = 0;
           abort_b = Prng.int rng 5 = 0;
         }
-  | `Insert -> Insert_xml (selector rng, fragment rng)
+  | `Insert ->
+      let k = selector rng in
+      if Prng.int rng 10 = 0 then Insert_rejected (k, bad_fragment rng)
+      else Insert_xml (k, fragment rng)
   | `Delete -> Delete_subtree (selector rng)
   | `Compact -> Compact
   | `Snapshot -> Snapshot_roundtrip
@@ -228,6 +248,8 @@ let op_to_ocaml = function
   | Update_texts ws -> Printf.sprintf "Update_texts %s" (writes_to_ocaml ws)
   | Delete_subtree k -> Printf.sprintf "Delete_subtree %d" k
   | Insert_xml (k, frag) -> Printf.sprintf "Insert_xml (%d, %S)" k frag
+  | Insert_rejected (k, frag) ->
+      Printf.sprintf "Insert_rejected (%d, %S)" k frag
   | Compact -> "Compact"
   | Snapshot_roundtrip -> "Snapshot_roundtrip"
   | Txn { writes_a; writes_b; abort_a; abort_b } ->

@@ -19,6 +19,9 @@ type op =
   | Delete_subtree of int  (** selector over live non-document nodes *)
   | Insert_xml of int * string
       (** selector over live elements + the document node, fragment *)
+  | Insert_rejected of int * string
+      (** as [Insert_xml], with an ill-formed fragment: the insert must
+          fail and leave the database unchanged *)
   | Compact  (** vacuum tombstones; replaces the database *)
   | Snapshot_roundtrip  (** save + load through {!Xvi_core.Snapshot} *)
   | Txn of txn_script
@@ -41,6 +44,11 @@ val document : Xvi_util.Prng.t -> string
 val fragment : Xvi_util.Prng.t -> string
 (** A small well-formed fragment (possibly with a leading/trailing bare
     text run) for {!Xvi_core.Db.insert_xml}. *)
+
+val bad_fragment : Xvi_util.Prng.t -> string
+(** A fragment every insert rejects: a well-formed one cut short inside
+    its last element, or followed by a stray end tag or an unknown
+    entity. *)
 
 val value : Xvi_util.Prng.t -> string
 (** A replacement text value: numeric, datetime, prose, near-numeric

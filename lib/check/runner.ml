@@ -124,6 +124,16 @@ let apply_txn db (s : Gen.txn_script) =
         conflicts
   end
 
+(* An ill-formed insert must fail, and — like the oracle, which does
+   nothing — leave the logical state where it was. *)
+let insert_rejected db ~parent frag =
+  let before = Db.digest db in
+  match Db.insert_xml db ~parent frag with
+  | Ok _ -> failf "ill-formed fragment %S accepted" frag
+  | Error _ ->
+      if not (String.equal before (Db.digest db)) then
+        failf "rejected fragment %S changed the database" frag
+
 let apply_op db op =
   let store = Db.store db in
   match (op : Gen.op) with
@@ -152,6 +162,11 @@ let apply_op db op =
               failf "generated fragment %S rejected: %s" frag
                 (Xvi_xml.Parser.error_to_string e));
           db)
+  | Gen.Insert_rejected (k, frag) ->
+      (match resolve (insert_parents store) k with
+      | None -> ()
+      | Some parent -> insert_rejected db ~parent frag);
+      db
   | Gen.Compact -> fst (Db.compact db)
   | Gen.Snapshot_roundtrip ->
       let path = Filename.temp_file "xvi_diff" ".snap" in
@@ -482,7 +497,12 @@ module Engine = Xvi_serve.Engine
 
 type concurrent_op =
   | C_texts of (Store.node * string) list
-  | C_insert of { parent : Store.node; fragment : string; roots : Store.node list }
+  | C_insert of {
+      parent : Store.node;
+      bad : string; (* tried first; must fail and change nothing *)
+      fragment : string;
+      roots : Store.node list;
+    }
   | C_delete of Store.node
 
 type concurrent_outcome = {
@@ -573,11 +593,13 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
                 if Array.length elements = 0 then Store.document
                 else Prng.choose rng elements
               in
+              let bad = Gen.bad_fragment rng in
+              insert_rejected replica ~parent bad;
               let fragment = Gen.fragment rng in
               match Db.insert_xml replica ~parent fragment with
               | Ok roots ->
                   inserted := List.rev_append roots !inserted;
-                  C_insert { parent; fragment; roots }
+                  C_insert { parent; bad; fragment; roots }
               | Error _ -> failf "run_concurrent: oracle insert rejected")
       in
       script := op :: !script;
@@ -718,7 +740,15 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
           match Engine.submit engine tx with
           | Ok _ -> ()
           | Error e -> rejected k e)
-      | C_insert { parent; fragment; roots } -> (
+      | C_insert { parent; bad; fragment; roots } -> (
+          (* a stray node left by the rejected insert would surface in
+             the next epoch's digest, checked by every reader *)
+          (match Engine.insert_xml engine ~parent bad with
+          | Error (Engine.Parse _) -> ()
+          | Error e -> rejected k e
+          | Ok _ ->
+              failf "writer: ill-formed fragment %S accepted at commit %d" bad
+                k);
           match Engine.insert_xml engine ~parent fragment with
           | Ok (got, _) ->
               if got <> roots then

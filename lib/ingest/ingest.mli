@@ -3,9 +3,10 @@
     The whole-document front door ([Parser.parse] then [Db.of_store])
     allocates O(document) on the heap — the input string, then the
     posting sort transients — before the first posting lands in the
-    off-heap columns.  This module consumes a {!Xvi_xml.Sax} event
-    stream instead and runs the paper's one-pass multi-index machinery
-    {e incrementally}: store rows and field staging go straight into
+    off-heap columns.  This module consumes the same {!Xvi_xml.Sax}
+    event stream that [Parser] appends to a store, but runs the paper's
+    one-pass multi-index machinery {e incrementally} as the events
+    arrive: store rows and field staging go straight into
     off-heap [Bigvec] columns, the open-element accumulator stack is
     O(depth), and postings are sorted in bounded batches, k-way merged
     into the B+tree bulk loader at the end.  Live heap during ingest is
@@ -71,7 +72,7 @@ val load :
   ?pool:Xvi_util.Pool.t ->
   ?progress:(progress -> unit) ->
   Xvi_xml.Sax.source ->
-  (Xvi_core.Db.t, Xvi_xml.Parser.error) result
+  (Xvi_core.Db.t, Xvi_xml.Sax.error) result
 (** Drive a source through {!Builder} with a batch cut every
     [batch_rows] (default 65536) appended rows.  [progress] fires at
     every batch edge and once at the end.  In-memory (non-durable)

@@ -1,384 +1,70 @@
-type error = { line : int; col : int; offset : int; message : string }
+type error = Sax.error = { line : int; col : int; offset : int; message : string }
 
-let error_to_string e = Printf.sprintf "%d:%d: %s" e.line e.col e.message
+let error_to_string = Sax.error_to_string
 
-exception Parse_error of error
+(* Append the node [ev] starts or carries as the last child of the
+   innermost open element in [stack], or of [parent] when none is open,
+   and return the new stack.  [top] sees each node appended at depth 0. *)
+let append store ~parent ~top stack (ev : Sax.event) =
+  let under = match stack with p :: _ -> p | [] -> parent in
+  let at_top = match stack with _ :: _ -> ignore | [] -> top in
+  match ev with
+  | Sax.Start_element { name; attrs } ->
+      let element = Store.append_element store ~parent:under name in
+      at_top element;
+      List.iter
+        (fun (name, value) ->
+          ignore (Store.append_attribute store ~element ~name ~value : Store.node))
+        attrs;
+      element :: stack
+  | Sax.End_element _ -> ( match stack with _ :: rest -> rest | [] -> [])
+  | Sax.Text s | Sax.Cdata s ->
+      at_top (Store.append_text store ~parent:under s);
+      stack
+  | Sax.Comment c ->
+      at_top (Store.append_comment store ~parent:under c);
+      stack
+  | Sax.Pi { target; body } ->
+      at_top (Store.append_pi store ~parent:under ~target body);
+      stack
 
-type state = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable bol : int; (* offset of beginning of current line *)
-  strip_ws : bool;
-  store : Store.t;
-}
-
-let fail st fmt =
-  Printf.ksprintf
-    (fun message ->
-      raise
-        (Parse_error
-           { line = st.line; col = st.pos - st.bol + 1; offset = st.pos;
-             message }))
-    fmt
-
-let eof st = st.pos >= String.length st.src
-let peek st = st.src.[st.pos]
-
-let advance st =
-  if st.src.[st.pos] = '\n' then begin
-    st.line <- st.line + 1;
-    st.bol <- st.pos + 1
-  end;
-  st.pos <- st.pos + 1
-
-let next st =
-  if eof st then fail st "unexpected end of input";
-  let c = peek st in
-  advance st;
-  c
-
-let expect st c =
-  let got = next st in
-  if got <> c then fail st "expected %C, found %C" c got
-
-let expect_string st s =
-  String.iter (fun c -> expect st c) s
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
-
-let skip st s = expect_string st s
-
-let is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-
-let skip_ws st =
-  while (not (eof st)) && is_ws (peek st) do
-    advance st
-  done
-
-let is_name_start c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || c = '_' || c = ':'
-  || Char.code c >= 0x80
-
-let is_name_char c =
-  is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
-
-let parse_name st =
-  if eof st || not (is_name_start (peek st)) then fail st "expected a name";
-  let start = st.pos in
-  while (not (eof st)) && is_name_char (peek st) do
-    advance st
-  done;
-  String.sub st.src start (st.pos - start)
-
-let add_utf8 buf code =
-  if code < 0 || code > 0x10FFFF then invalid_arg "add_utf8"
-  else if code < 0x80 then Buffer.add_char buf (Char.chr code)
-  else if code < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else if code < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-
-(* Resolve a reference after '&' has been consumed. *)
-let parse_reference st buf =
-  if eof st then fail st "unterminated entity reference";
-  if peek st = '#' then begin
-    advance st;
-    let hex = (not (eof st)) && (peek st = 'x' || peek st = 'X') in
-    if hex then advance st;
-    let start = st.pos in
-    while (not (eof st)) && peek st <> ';' do
-      advance st
-    done;
-    let digits = String.sub st.src start (st.pos - start) in
-    expect st ';';
-    let code =
-      try int_of_string (if hex then "0x" ^ digits else digits)
-      with Failure _ -> fail st "bad character reference &#%s;" digits
-    in
-    (try add_utf8 buf code
-     with Invalid_argument _ -> fail st "character reference out of range")
-  end
-  else begin
-    let name = parse_name st in
-    expect st ';';
-    match name with
-    | "lt" -> Buffer.add_char buf '<'
-    | "gt" -> Buffer.add_char buf '>'
-    | "amp" -> Buffer.add_char buf '&'
-    | "apos" -> Buffer.add_char buf '\''
-    | "quot" -> Buffer.add_char buf '"'
-    | other -> fail st "unknown entity &%s;" other
-  end
-
-let parse_attr_value st =
-  let quote = next st in
-  if quote <> '"' && quote <> '\'' then fail st "expected quoted attribute value";
-  let buf = Buffer.create 16 in
-  let rec go () =
-    let c = next st in
-    if c = quote then ()
-    else begin
-      (match c with
-      | '&' -> parse_reference st buf
-      | '<' -> fail st "'<' in attribute value"
-      | c -> Buffer.add_char buf c);
-      go ()
+let parse ?strip_ws src =
+  let store = Store.create () in
+  (* Prolog comments and PIs go under the document node; trailing ones,
+     after the root element closed, are lexed but not stored. *)
+  let stack = ref [] and root_closed = ref false in
+  let add ev =
+    if not !root_closed then begin
+      stack := append store ~parent:Store.document ~top:ignore !stack ev;
+      match (ev, !stack) with
+      | Sax.End_element _, [] -> root_closed := true
+      | _ -> ()
     end
   in
-  go ();
-  Buffer.contents buf
-
-(* Text content until the next '<'. Returns None when the accumulated text
-   is dropped by whitespace stripping. *)
-let parse_text st =
-  let buf = Buffer.create 32 in
-  let only_ws = ref true in
-  let rec go () =
-    if (not (eof st)) && peek st <> '<' then begin
-      let c = next st in
-      (match c with
-      | '&' ->
-          only_ws := false;
-          parse_reference st buf
-      | c ->
-          if not (is_ws c) then only_ws := false;
-          Buffer.add_char buf c);
-      go ()
-    end
-  in
-  go ();
-  if Buffer.length buf = 0 then None
-  else if !only_ws && st.strip_ws then None
-  else Some (Buffer.contents buf)
-
-let parse_comment st =
-  (* after "<!--" *)
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at st "-->" then begin
-      skip st "-->"
-    end
-    else begin
-      if looking_at st "--" then fail st "'--' inside comment";
-      Buffer.add_char buf (next st);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_cdata st =
-  (* after "<![CDATA[" *)
-  let buf = Buffer.create 32 in
-  let rec go () =
-    if looking_at st "]]>" then skip st "]]>"
-    else begin
-      Buffer.add_char buf (next st);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_pi st =
-  (* after "<?" *)
-  let target = parse_name st in
-  skip_ws st;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at st "?>" then skip st "?>"
-    else begin
-      Buffer.add_char buf (next st);
-      go ()
-    end
-  in
-  go ();
-  (target, Buffer.contents buf)
-
-let skip_doctype st =
-  (* after "<!DOCTYPE" *)
-  let depth = ref 1 in
-  while !depth > 0 do
-    match next st with
-    | '<' -> incr depth
-    | '>' -> decr depth
-    | '[' ->
-        (* internal subset: skip to the matching ']' *)
-        let sub = ref 1 in
-        while !sub > 0 do
-          match next st with
-          | '[' -> incr sub
-          | ']' -> decr sub
-          | _ -> ()
-        done
-    | _ -> ()
-  done
-
-(* Parse attributes then either "/>" or ">". Returns [true] when the
-   element is self-closing. *)
-let parse_attributes st ~element =
-  let rec go () =
-    skip_ws st;
-    if eof st then fail st "unterminated start tag"
-    else if peek st = '>' then begin
-      advance st;
-      false
-    end
-    else if looking_at st "/>" then begin
-      skip st "/>";
-      true
-    end
-    else begin
-      let name = parse_name st in
-      skip_ws st;
-      expect st '=';
-      skip_ws st;
-      let value = parse_attr_value st in
-      ignore (Store.append_attribute st.store ~element ~name ~value : Store.node);
-      go ()
-    end
-  in
-  go ()
-
-(* Parse one element, appending under [parent]. '<' and the name test are
-   already known: call with pos at the name. *)
-let rec parse_element st ~parent =
-  let tag = parse_name st in
-  let element = Store.append_element st.store ~parent tag in
-  let self_closing = parse_attributes st ~element in
-  if not self_closing then begin
-    parse_content st ~parent:element;
-    (* now at "</" *)
-    skip st "</";
-    let close = parse_name st in
-    if close <> tag then fail st "mismatched end tag </%s> for <%s>" close tag;
-    skip_ws st;
-    expect st '>'
-  end;
-  element
-
-(* Children of [parent] until "</" or end of input. *)
-and parse_content st ~parent =
-  if eof st then ()
-  else if peek st <> '<' then begin
-    (match parse_text st with
-    | Some txt -> ignore (Store.append_text st.store ~parent txt : Store.node)
-    | None -> ());
-    parse_content st ~parent
-  end
-  else if looking_at st "</" then ()
-  else if looking_at st "<!--" then begin
-    skip st "<!--";
-    let c = parse_comment st in
-    ignore (Store.append_comment st.store ~parent c : Store.node);
-    parse_content st ~parent
-  end
-  else if looking_at st "<![CDATA[" then begin
-    skip st "<![CDATA[";
-    let txt = parse_cdata st in
-    if String.length txt > 0 then
-      ignore (Store.append_text st.store ~parent txt : Store.node);
-    parse_content st ~parent
-  end
-  else if looking_at st "<?" then begin
-    skip st "<?";
-    let target, txt = parse_pi st in
-    ignore (Store.append_pi st.store ~parent ~target txt : Store.node);
-    parse_content st ~parent
-  end
-  else begin
-    expect st '<';
-    ignore (parse_element st ~parent : Store.node);
-    parse_content st ~parent
-  end
-
-let parse_prolog st =
-  skip_ws st;
-  if looking_at st "<?xml" then begin
-    skip st "<?";
-    ignore (parse_pi st : string * string)
-  end;
-  let rec misc () =
-    skip_ws st;
-    if looking_at st "<!--" then begin
-      skip st "<!--";
-      let c = parse_comment st in
-      ignore (Store.append_comment st.store ~parent:Store.document c : Store.node);
-      misc ()
-    end
-    else if looking_at st "<!DOCTYPE" then begin
-      skip st "<!DOCTYPE";
-      skip_doctype st;
-      misc ()
-    end
-    else if looking_at st "<?" then begin
-      skip st "<?";
-      let target, txt = parse_pi st in
-      ignore (Store.append_pi st.store ~parent:Store.document ~target txt : Store.node);
-      misc ()
-    end
-  in
-  misc ()
-
-let parse ?(strip_ws = true) src =
-  let st =
-    { src; pos = 0; line = 1; bol = 0; strip_ws; store = Store.create () }
-  in
-  try
-    parse_prolog st;
-    if eof st || peek st <> '<' then fail st "expected root element";
-    expect st '<';
-    ignore (parse_element st ~parent:Store.document : Store.node);
-    (* trailing misc *)
-    let rec misc () =
-      skip_ws st;
-      if eof st then ()
-      else if looking_at st "<!--" then begin
-        skip st "<!--";
-        ignore (parse_comment st : string);
-        misc ()
-      end
-      else if looking_at st "<?" then begin
-        skip st "<?";
-        ignore (parse_pi st : string * string);
-        misc ()
-      end
-      else fail st "content after the root element"
-    in
-    misc ();
-    Ok st.store
-  with Parse_error e -> Error e
+  match Sax.iter (Sax.make ?strip_ws (Sax.of_string src)) add with
+  | Ok () -> Ok store
+  | Error e -> Error e
 
 let parse_exn ?strip_ws src =
   match parse ?strip_ws src with
   | Ok store -> store
   | Error e -> failwith (error_to_string e)
 
-let parse_fragment ?(strip_ws = true) store ~parent src =
-  let st = { src; pos = 0; line = 1; bol = 0; strip_ws; store } in
-  let before = Store.children store parent in
-  try
-    parse_content st ~parent;
-    if not (eof st) then fail st "unexpected end-tag in fragment";
-    let after = Store.children store parent in
-    let fresh =
-      List.filter (fun n -> not (List.mem n before)) after
-    in
-    Ok fresh
-  with Parse_error e -> Error e
+let parse_fragment ?strip_ws store ~parent src =
+  (* Lex the whole fragment before touching the store, so a rejected
+     one leaves it unchanged. *)
+  let events = ref [] in
+  let lexed =
+    Sax.iter
+      (Sax.fragment ?strip_ws (Sax.of_string src))
+      (fun ev -> events := ev :: !events)
+  in
+  match lexed with
+  | Error e -> Error e
+  | Ok () ->
+      let roots = ref [] in
+      let top n = roots := n :: !roots in
+      ignore
+        (List.fold_left (append store ~parent ~top) [] (List.rev !events)
+          : Store.node list);
+      Ok (List.rev !roots)

@@ -1,17 +1,14 @@
-(** Non-validating XML 1.0 parser / shredder.
+(** Non-validating XML 1.0 shredder.
 
-    Parses XML text directly into a {!Store.t} (one pass, no intermediate
-    tree) — the analogue of MonetDB/XQuery's document shredder, and the
-    "shred time" baseline of the Figure 9 experiments.
+    Appends the events of the {!Sax} lexer to a {!Store.t} in one pass,
+    with no intermediate tree — the analogue of MonetDB/XQuery's
+    document shredder, and the "shred time" baseline of the Figure 9
+    experiments.  Comments and PIs before the root element are stored
+    under the document node, those after it are dropped, and CDATA
+    sections are stored as text.  {!Sax} documents the accepted
+    syntax. *)
 
-    Supported: elements, attributes (single- or double-quoted), character data,
-    the five predefined entities, decimal and hexadecimal character
-    references, CDATA sections, comments, processing instructions, an XML
-    declaration, and a DOCTYPE declaration (skipped, including an internal
-    subset). Namespaces are not resolved; qualified names are kept as
-    opaque strings, as MonetDB/XQuery's storage does. *)
-
-type error = { line : int; col : int; offset : int; message : string }
+type error = Sax.error = { line : int; col : int; offset : int; message : string }
 (** [line]/[col] are 1-based; [offset] is the 0-based absolute byte
     offset of the failure position in the input. *)
 
@@ -33,4 +30,6 @@ val parse_fragment :
   (Store.node list, error) result
 (** [parse_fragment store ~parent s] parses a sequence of nodes (no
     single-root requirement) and appends them as children of [parent];
-    returns the new top-level node ids. Used for subtree insertion. *)
+    returns the new top-level node ids. Used for subtree insertion.
+    The whole fragment is lexed before the store is touched: on
+    [Error] the store is unchanged. *)

@@ -1,12 +1,16 @@
-(* Streaming pull tokenizer over an incremental byte source.
+(* Streaming pull lexer over an incremental byte source — the tree's
+   one XML lexer.  [Parser] appends its events to a [Store]; ingest
+   feeds them to the one-pass index builder.
 
-   This is [Parser]'s lexer re-hosted on a refillable window: the same
-   primitives ([peek]/[advance]/[looking_at]/...), the same entity and
-   whitespace rules, the same prolog/content/epilog grammar — so the
-   event stream, replayed through the [Store] append calls [Parser]
-   makes, rebuilds a marshal-identical store.  Any behavioural
-   divergence from [Parser] here is a bug; the qcheck round-trip and
-   the ingest bit-identity differential exist to catch it. *)
+   The pending input lives in a refillable window.  Names, text runs,
+   attribute values, comments, CDATA sections and PI bodies are found
+   by scanning ahead in the window without consuming, then sliced out
+   of it in one copy; only entity references and DOCTYPE skipping step
+   a byte at a time. *)
+
+type error = { line : int; col : int; offset : int; message : string }
+
+let error_to_string e = Printf.sprintf "%d:%d: %s" e.line e.col e.message
 
 type source = unit -> bytes option
 type position = { line : int; col : int; offset : int }
@@ -38,13 +42,19 @@ type t = {
   mutable stack : string list; (* open element names, innermost first *)
   mutable depth : int;
   mutable mode : mode;
+  top : mode; (* the mode at depth 0 once the first top-level node ends *)
   mutable xmldecl_checked : bool;
+  (* Position of the current event's token, kept unboxed so that
+     draining the lexer with [iter] allocates no position. *)
+  mutable tok_line : int;
+  mutable tok_col : int;
+  mutable tok_offset : int;
   (* A self-closing tag yields two events from one token. *)
-  mutable pending : (event * position) list;
-  mutable failed : Parser.error option;
+  mutable pending : event option;
+  mutable failed : error option;
 }
 
-exception Fail of Parser.error
+exception Fail of error
 
 let abs t = t.base + t.pos
 
@@ -53,8 +63,7 @@ let fail t fmt =
     (fun message ->
       raise
         (Fail
-           { Parser.line = t.line; col = abs t - t.bol + 1; offset = abs t;
-             message }))
+           { line = t.line; col = abs t - t.bol + 1; offset = abs t; message }))
     fmt
 
 (* --- window management --- *)
@@ -83,16 +92,15 @@ let refill t =
       Bytes.blit chunk 0 t.buf t.len n;
       t.len <- t.len + n
 
-(* Make [n] bytes available, or return false at end of input — the
-   streaming analogue of [Parser]'s bounds checks: a [looking_at] near
-   the end of input is false, never an error. *)
+(* Make [n] bytes pending, or return false at end of input: a
+   [looking_at] near the end of input is false, never an error. *)
 let ensure t n =
   while t.len - t.pos < n && not t.src_eof do
     refill t
   done;
   t.len - t.pos >= n
 
-let at_eof t = not (ensure t 1)
+let at_eof t = t.pos >= t.len && not (ensure t 1)
 let peek t = Bytes.get t.buf t.pos
 
 let advance t =
@@ -101,6 +109,49 @@ let advance t =
     t.bol <- abs t + 1
   end;
   t.pos <- t.pos + 1
+
+(* Consume the next [n] pending bytes, all already in the window. *)
+let skip t n =
+  let stop = t.pos + n in
+  for i = t.pos to stop - 1 do
+    if Bytes.unsafe_get t.buf i = '\n' then begin
+      t.line <- t.line + 1;
+      t.bol <- t.base + i + 1
+    end
+  done;
+  t.pos <- stop
+
+(* Consume the next [n] pending bytes and return them. *)
+let take t n =
+  let s = Bytes.sub_string t.buf t.pos n in
+  skip t n;
+  s
+
+(* Number of pending bytes before the first one [stop] accepts, or
+   before the end of input; all of them are then in the window. *)
+let span t stop =
+  let rec scan i =
+    let j = t.pos + i in
+    if j < t.len then if stop (Bytes.unsafe_get t.buf j) then i else scan (i + 1)
+    else if ensure t (i + 1) then scan i
+    else i
+  in
+  scan 0
+
+let matches t i s =
+  let n = String.length s in
+  let rec eq k = k = n || (Bytes.get t.buf (i + k) = s.[k] && eq (k + 1)) in
+  eq 0
+
+(* Offset from [pos] of the first occurrence of [delim] in the pending
+   input, or [None] when the input ends first. *)
+let find t delim =
+  let m = String.length delim in
+  let rec scan i =
+    if ensure t (i + m) then if matches t (t.pos + i) delim then Some i else scan (i + 1)
+    else None
+  in
+  scan 0
 
 let next_ch t =
   if at_eof t then fail t "unexpected end of input";
@@ -112,15 +163,7 @@ let expect t c =
   let got = next_ch t in
   if got <> c then fail t "expected %C, found %C" c got
 
-let skip_string t s = String.iter (fun c -> expect t c) s
-
-let looking_at t s =
-  let n = String.length s in
-  ensure t n
-  &&
-  let rec eq i = i = n || (Bytes.get t.buf (t.pos + i) = s.[i] && eq (i + 1)) in
-  eq 0
-
+let looking_at t s = ensure t (String.length s) && matches t t.pos s
 let is_ws = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
 
 let skip_ws t =
@@ -128,9 +171,13 @@ let skip_ws t =
     advance t
   done
 
-let position t = { line = t.line; col = abs t - t.bol + 1; offset = abs t }
+(* The current event's token starts here. *)
+let mark t =
+  t.tok_line <- t.line;
+  t.tok_col <- abs t - t.bol + 1;
+  t.tok_offset <- abs t
 
-(* --- tokens: transliterations of the [Parser] lexers --- *)
+(* --- tokens --- *)
 
 let is_name_start c =
   (c >= 'a' && c <= 'z')
@@ -143,15 +190,8 @@ let is_name_char c =
 
 let lex_name t =
   if at_eof t || not (is_name_start (peek t)) then fail t "expected a name";
-  let buf = Buffer.create 12 in
-  while (not (at_eof t)) && is_name_char (peek t) do
-    Buffer.add_char buf (peek t);
-    advance t
-  done;
-  Buffer.contents buf
+  take t (span t (fun c -> not (is_name_char c)))
 
-(* Same encoder as [Parser.add_utf8]; duplicated because it is not part
-   of the parser's public interface. *)
 let add_utf8 buf code =
   if code < 0 || code > 0x10FFFF then invalid_arg "add_utf8"
   else if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -171,18 +211,14 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* Resolve a reference after '&' has been consumed. *)
 let lex_reference t buf =
   if at_eof t then fail t "unterminated entity reference";
   if peek t = '#' then begin
     advance t;
     let hex = (not (at_eof t)) && (peek t = 'x' || peek t = 'X') in
     if hex then advance t;
-    let digits = Buffer.create 8 in
-    while (not (at_eof t)) && peek t <> ';' do
-      Buffer.add_char digits (peek t);
-      advance t
-    done;
-    let digits = Buffer.contents digits in
+    let digits = take t (span t (fun c -> c = ';')) in
     expect t ';';
     let code =
       try int_of_string (if hex then "0x" ^ digits else digits)
@@ -203,89 +239,71 @@ let lex_reference t buf =
     | other -> fail t "unknown entity &%s;" other
   end
 
+(* [first], a run of literal bytes already taken, then — while the
+   next byte is '&' — a reference and the run up to the next byte
+   [stop] accepts.  Without references [first] is returned as sliced
+   from the window. *)
+let with_references t first stop =
+  if at_eof t || peek t <> '&' then first
+  else begin
+    let buf = Buffer.create (String.length first + 16) in
+    Buffer.add_string buf first;
+    while (not (at_eof t)) && peek t = '&' do
+      advance t;
+      lex_reference t buf;
+      Buffer.add_string buf (take t (span t stop))
+    done;
+    Buffer.contents buf
+  end
+
 let lex_attr_value t =
   let quote = next_ch t in
   if quote <> '"' && quote <> '\'' then fail t "expected quoted attribute value";
-  let buf = Buffer.create 16 in
-  let rec go () =
-    let c = next_ch t in
-    if c = quote then ()
-    else begin
-      (match c with
-      | '&' -> lex_reference t buf
-      | '<' -> fail t "'<' in attribute value"
-      | c -> Buffer.add_char buf c);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
+  let stop c = c = quote || c = '&' || c = '<' in
+  let value = with_references t (take t (span t stop)) stop in
+  if next_ch t = '<' then fail t "'<' in attribute value";
+  value
 
-(* Returns [None] when the run was whitespace-only and stripped.  The
-   entity quirk is [Parser]'s: any reference marks the run non-blank
-   even if it resolves to whitespace. *)
+(* [None] when the run was whitespace-only and stripped.  Any
+   reference marks the run non-blank, even one resolving to
+   whitespace. *)
 let lex_text t =
-  let buf = Buffer.create 32 in
-  let only_ws = ref true in
-  let rec go () =
-    if (not (at_eof t)) && peek t <> '<' then begin
-      let c = next_ch t in
-      (match c with
-      | '&' ->
-          only_ws := false;
-          lex_reference t buf
-      | c ->
-          if not (is_ws c) then only_ws := false;
-          Buffer.add_char buf c);
-      go ()
-    end
-  in
-  go ();
-  if Buffer.length buf = 0 then None
-  else if !only_ws && t.strip_ws then None
-  else Some (Buffer.contents buf)
+  let stop c = c = '<' || c = '&' in
+  let run = take t (span t stop) in
+  if at_eof t || peek t <> '&' then
+    if t.strip_ws && String.for_all is_ws run then None else Some (Text run)
+  else Some (Text (with_references t run stop))
+
+(* Consume the rest of the input and fail at its end; [find] returning
+   [None] has already pulled all of it into the window. *)
+let run_out t =
+  skip t (t.len - t.pos);
+  fail t "unexpected end of input"
+
+(* The body of a construct up to [delim], consumed with it. *)
+let lex_until t delim =
+  match find t delim with
+  | Some n ->
+      let body = take t n in
+      skip t (String.length delim);
+      body
+  | None -> run_out t
 
 let lex_comment t =
   (* after "<!--" *)
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at t "-->" then skip_string t "-->"
-    else begin
-      if looking_at t "--" then fail t "'--' inside comment";
-      Buffer.add_char buf (next_ch t);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-let lex_cdata t =
-  (* after "<![CDATA[" *)
-  let buf = Buffer.create 32 in
-  let rec go () =
-    if looking_at t "]]>" then skip_string t "]]>"
-    else begin
-      Buffer.add_char buf (next_ch t);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
+  match find t "--" with
+  | Some n ->
+      let body = take t n in
+      if not (looking_at t "-->") then fail t "'--' inside comment";
+      skip t 3;
+      body
+  | None -> run_out t
 
 let lex_pi t =
   (* after "<?" *)
   let target = lex_name t in
   skip_ws t;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at t "?>" then skip_string t "?>"
-    else begin
-      Buffer.add_char buf (next_ch t);
-      go ()
-    end
-  in
-  go ();
-  (target, Buffer.contents buf)
+  (target, lex_until t "?>")
 
 let skip_doctype t =
   (* after "<!DOCTYPE" *)
@@ -317,7 +335,7 @@ let lex_attributes t =
       (List.rev acc, false)
     end
     else if looking_at t "/>" then begin
-      skip_string t "/>";
+      skip t 2;
       (List.rev acc, true)
     end
     else begin
@@ -331,121 +349,125 @@ let lex_attributes t =
   in
   go []
 
-(* '<' already consumed; [p] is its position. *)
-let start_tag t p =
+(* '<' already consumed. *)
+let start_tag t =
   let name = lex_name t in
   let attrs, self_closing = lex_attributes t in
   if self_closing then begin
-    t.pending <- [ (End_element name, p) ];
-    if t.depth = 0 then t.mode <- Epilog
+    t.pending <- Some (End_element name);
+    if t.depth = 0 then t.mode <- t.top
   end
   else begin
     t.stack <- name :: t.stack;
     t.depth <- t.depth + 1;
     t.mode <- Content
   end;
-  (Start_element { name; attrs }, p)
+  Start_element { name; attrs }
+
+let end_tag t =
+  (* after "</" *)
+  let close = lex_name t in
+  match t.stack with
+  | open_tag :: rest ->
+      if not (String.equal close open_tag) then
+        fail t "mismatched end tag </%s> for <%s>" close open_tag;
+      skip_ws t;
+      expect t '>';
+      t.stack <- rest;
+      t.depth <- t.depth - 1;
+      if t.depth = 0 then t.mode <- t.top;
+      End_element close
+  | [] ->
+      (* [Content] mode at depth 0 only exists in a fragment, which
+         rejects the "</" before getting here. *)
+      assert false
 
 let rec step_prolog t =
   skip_ws t;
   if not t.xmldecl_checked then begin
     t.xmldecl_checked <- true;
-    (* The XML declaration is consumed and dropped, exactly like
-       [Parser.parse_prolog] — including its acceptance of any PI whose
+    (* The XML declaration is consumed and dropped — as is any PI whose
        target merely starts with "xml". *)
     if looking_at t "<?xml" then begin
-      skip_string t "<?";
+      skip t 2;
       ignore (lex_pi t : string * string)
     end;
     skip_ws t
   end;
-  let p = position t in
+  mark t;
   if looking_at t "<!--" then begin
-    skip_string t "<!--";
-    Some (Comment (lex_comment t), p)
+    skip t 4;
+    Some (Comment (lex_comment t))
   end
   else if looking_at t "<!DOCTYPE" then begin
-    skip_string t "<!DOCTYPE";
+    skip t 9;
     skip_doctype t;
     step_prolog t
   end
   else if looking_at t "<?" then begin
-    skip_string t "<?";
+    skip t 2;
     let target, body = lex_pi t in
-    Some (Pi { target; body }, p)
+    Some (Pi { target; body })
   end
   else begin
     if at_eof t || peek t <> '<' then fail t "expected root element";
-    expect t '<';
-    Some (start_tag t p)
+    advance t;
+    Some (start_tag t)
   end
 
 let rec step_content t =
-  let p = position t in
-  if at_eof t then fail t "unexpected end of input"
+  mark t;
+  if at_eof t then
+    if t.depth = 0 then None else fail t "unexpected end of input"
   else if peek t <> '<' then begin
-    match lex_text t with
-    | Some txt -> Some (Text txt, p)
-    | None -> step_content t
+    match lex_text t with Some _ as text -> text | None -> step_content t
   end
   else if looking_at t "</" then begin
-    skip_string t "</";
-    let close = lex_name t in
-    (match t.stack with
-    | open_tag :: rest ->
-        if not (String.equal close open_tag) then
-          fail t "mismatched end tag </%s> for <%s>" close open_tag;
-        skip_ws t;
-        expect t '>';
-        t.stack <- rest;
-        t.depth <- t.depth - 1;
-        if t.depth = 0 then t.mode <- Epilog
-    | [] ->
-        (* [Content] mode implies a non-empty stack. *)
-        assert false);
-    Some (End_element close, p)
+    if t.depth = 0 then fail t "unexpected end-tag in fragment";
+    skip t 2;
+    Some (end_tag t)
   end
   else if looking_at t "<!--" then begin
-    skip_string t "<!--";
-    Some (Comment (lex_comment t), p)
+    skip t 4;
+    Some (Comment (lex_comment t))
   end
   else if looking_at t "<![CDATA[" then begin
-    skip_string t "<![CDATA[";
-    let txt = lex_cdata t in
-    if String.length txt > 0 then Some (Cdata txt, p) else step_content t
+    skip t 9;
+    let txt = lex_until t "]]>" in
+    if String.length txt > 0 then Some (Cdata txt) else step_content t
   end
   else if looking_at t "<?" then begin
-    skip_string t "<?";
+    skip t 2;
     let target, body = lex_pi t in
-    Some (Pi { target; body }, p)
+    Some (Pi { target; body })
   end
   else begin
-    expect t '<';
-    Some (start_tag t p)
+    advance t;
+    Some (start_tag t)
   end
 
 let step_epilog t =
   skip_ws t;
-  let p = position t in
+  mark t;
   if at_eof t then None
   else if looking_at t "<!--" then begin
-    skip_string t "<!--";
-    Some (Comment (lex_comment t), p)
+    skip t 4;
+    Some (Comment (lex_comment t))
   end
   else if looking_at t "<?" then begin
-    skip_string t "<?";
+    skip t 2;
     let target, body = lex_pi t in
-    Some (Pi { target; body }, p)
+    Some (Pi { target; body })
   end
   else fail t "content after the root element"
 
 (* --- public interface --- *)
 
-let make ?(strip_ws = true) source =
+let start ~mode ~top ?(strip_ws = true) source =
   {
     source;
     strip_ws;
-    buf = Bytes.create 4096;
+    buf = Bytes.empty;
     len = 0;
     pos = 0;
     base = 0;
@@ -454,47 +476,81 @@ let make ?(strip_ws = true) source =
     bol = 0;
     stack = [];
     depth = 0;
-    mode = Prolog;
+    mode;
+    top;
     xmldecl_checked = false;
-    pending = [];
+    tok_line = 1;
+    tok_col = 1;
+    tok_offset = 0;
+    pending = None;
     failed = None;
   }
+
+let make ?strip_ws source = start ~mode:Prolog ~top:Epilog ?strip_ws source
+let fragment ?strip_ws source = start ~mode:Content ~top:Content ?strip_ws source
+
+let step t =
+  match t.pending with
+  | Some ev ->
+      t.pending <- None;
+      Some ev
+  | None -> (
+      match t.mode with
+      | Prolog -> step_prolog t
+      | Content -> step_content t
+      | Epilog -> step_epilog t)
 
 let next t =
   match t.failed with
   | Some e -> Error e
   | None -> (
-      match t.pending with
-      | ev :: rest ->
-          t.pending <- rest;
-          Ok (Some ev)
-      | [] -> (
-          try
-            match t.mode with
-            | Prolog -> Ok (step_prolog t)
-            | Content -> Ok (step_content t)
-            | Epilog -> Ok (step_epilog t)
-          with Fail e ->
-            t.failed <- Some e;
-            Error e))
+      match step t with
+      | Some ev ->
+          Ok
+            (Some
+               (ev, { line = t.tok_line; col = t.tok_col; offset = t.tok_offset }))
+      | None -> Ok None
+      | exception Fail e ->
+          t.failed <- Some e;
+          Error e)
+
+let iter t f =
+  let rec go () =
+    match step t with
+    | Some ev ->
+        f ev;
+        go ()
+    | None -> Ok ()
+  in
+  match t.failed with
+  | Some e -> Error e
+  | None -> (
+      try go ()
+      with Fail e ->
+        t.failed <- Some e;
+        Error e)
 
 let consumed t = abs t
 let depth t = t.depth
 
-let of_string s =
-  let sent = ref false in
-  fun () ->
-    if !sent then None
-    else begin
-      sent := true;
-      Some (Bytes.of_string s)
-    end
-
-let of_channel ?(chunk_size = 65536) ic =
-  let chunk_size = max 1 chunk_size in
+(* A source handing out [read]'s bytes [chunk_size] at a time. *)
+let chunks chunk_size read =
   let buf = Bytes.create chunk_size in
   fun () ->
-    let n = input ic buf 0 chunk_size in
+    let n = read buf chunk_size in
     if n = 0 then None
     else if n = chunk_size then Some buf
     else Some (Bytes.sub buf 0 n)
+
+let of_string s =
+  let pos = ref 0 in
+  chunks
+    (max 1 (min 65536 (String.length s)))
+    (fun buf len ->
+      let n = min len (String.length s - !pos) in
+      Bytes.blit_string s !pos buf 0 n;
+      pos := !pos + n;
+      n)
+
+let of_channel ?(chunk_size = 65536) ic =
+  chunks (max 1 chunk_size) (fun buf len -> input ic buf 0 len)

@@ -334,10 +334,6 @@ type plan = {
   used_name_index : int;
 }
 
-let current_plan =
-  ref { used_string_index = 0; used_double_index = 0; used_name_index = 0 }
-let last_plan () = !current_plan
-
 (* Predicate evaluation is parameterised by how a Compare predicate
    decides whether an operand node matches the literal: the naive
    evaluator computes string values and casts; the indexed evaluator
@@ -754,7 +750,7 @@ let eval_fast db matcher steps hits =
     hits;
   !out
 
-let eval_indexed db t =
+let eval_with_plan db t =
   let counters =
     ref { used_string_index = 0; used_double_index = 0; used_name_index = 0 }
   in
@@ -814,5 +810,6 @@ let eval_indexed db t =
             | None -> eval_steps matcher store [ Store.document ] t))
     | None -> eval_steps matcher store [ Store.document ] t
   in
-  current_plan := !counters;
-  doc_order_fast result
+  (doc_order_fast result, !counters)
+
+let eval_indexed db t = fst (eval_with_plan db t)

@@ -69,8 +69,9 @@ type plan = {
   used_double_index : int;
   used_name_index : int;
 }
-(** How many predicates the indexed evaluator answered from each index
-    in the last {!eval_indexed} call — exposed for the examples and for
-    tests that assert acceleration actually happened. *)
+(** How many predicates one indexed evaluation answered from each
+    index — exposed for the examples and for tests that assert
+    acceleration actually happened. *)
 
-val last_plan : unit -> plan
+val eval_with_plan : Xvi_core.Db.t -> t -> Xvi_xml.Store.node list * plan
+(** {!eval_indexed}, also returning that evaluation's plan counters. *)

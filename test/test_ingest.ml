@@ -146,7 +146,43 @@ let test_error_positions () =
             (doc ^ " sax message")
             pe.Parser.message se.Parser.message)
         [ 1; 5; 100000 ])
-    cases
+    cases;
+  (* fragments: [Parser.parse_fragment] and the [Sax.fragment] lexer *)
+  let fragment_cases =
+    [
+      ("<a/>\n</x>", 2, 1, 5, "unexpected end-tag in fragment");
+      ("text\n<a><b>x</b>", 2, 12, 16, "unexpected end of input");
+      ("<a>\n  x &bogus; y</a>", 2, 12, 15, "unknown entity &bogus;");
+      ("<a><!DOCTYPE a></a>", 1, 5, 4, "expected a name");
+    ]
+  in
+  List.iter
+    (fun (frag, line, col, offset, message) ->
+      let store = Store.create () in
+      let check who (e : Parser.error) =
+        Alcotest.(check int) (frag ^ who ^ " line") line e.Parser.line;
+        Alcotest.(check int) (frag ^ who ^ " col") col e.Parser.col;
+        Alcotest.(check int) (frag ^ who ^ " offset") offset e.Parser.offset;
+        Alcotest.(check string) (frag ^ who ^ " message") message
+          e.Parser.message
+      in
+      (match Parser.parse_fragment store ~parent:Store.document frag with
+      | Ok _ -> Alcotest.failf "parser accepted fragment %S" frag
+      | Error e -> check " parser" e);
+      Alcotest.(check int) (frag ^ " store untouched") 1
+        (Store.node_range store);
+      List.iter
+        (fun n ->
+          let t = Sax.fragment (chunked n frag) in
+          let rec drain () =
+            match Sax.next t with
+            | Ok (Some _) -> drain ()
+            | Ok None -> Alcotest.failf "sax accepted fragment %S" frag
+            | Error e -> check (Printf.sprintf " sax/%d" n) e
+          in
+          drain ())
+        [ 1; 5; 100000 ])
+    fragment_cases
 
 let whole_db ?(config = Db.Config.default) doc =
   match Parser.parse doc with

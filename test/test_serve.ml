@@ -841,6 +841,44 @@ let test_engine_structural () =
       Alcotest.(check nodes) "old epoch unaffected" delta_hits
         (Db.lookup_string db1 "delta"))
 
+(* A fragment that fails to parse must leave no node behind: the
+   digest is unchanged and every index still validates, both on a bare
+   database and through the engine's in-memory backend (where stray
+   nodes in the master would surface in the next published epoch). *)
+let test_rejected_insert_atomic () =
+  let bad = "<c>x</c><d>" in
+  let check_db what db digest =
+    Alcotest.(check string) (what ^ ": digest unchanged") digest (Db.digest db);
+    match Db.validate db with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: validate: %s" what e
+  in
+  let db = Db.of_xml_exn small_xml in
+  let a = List.hd (Db.elements_named db "a") in
+  let before = Db.digest db in
+  (match Db.insert_xml db ~parent:a bad with
+  | Error e ->
+      Alcotest.(check string) "error" "1:12: unexpected end of input"
+        (Xvi_xml.Parser.error_to_string e)
+  | Ok _ -> Alcotest.fail "Db accepted an unterminated fragment");
+  check_db "Db" db before;
+  (* the engine: reject, then commit a good insert; the published epoch
+     must equal a database that only ever saw the good one *)
+  let reference = Db.of_xml_exn small_xml in
+  ignore (Db.insert_xml reference ~parent:a "<ok/>" : _ result);
+  with_mem_engine small_xml (fun engine ->
+      (match Engine.insert_xml engine ~parent:a bad with
+      | Error (Engine.Parse _) -> ()
+      | Error e ->
+          Alcotest.failf "wanted Parse, got %s" (Engine.error_to_string e)
+      | Ok _ -> Alcotest.fail "Engine accepted an unterminated fragment");
+      check_db "Engine after reject" (Engine.snapshot engine) before;
+      ignore
+        (ok_exn "good insert" (Engine.insert_xml engine ~parent:a "<ok/>")
+          : Store.node list * int);
+      check_db "Engine after next commit" (Engine.snapshot engine)
+        (Db.digest reference))
+
 let test_engine_closed () =
   let engine =
     ok_exn "open" (Engine.open_ (Engine.Memory (Db.of_xml_exn small_xml)))
@@ -1225,6 +1263,8 @@ let () =
             test_engine_empty_commit;
           Alcotest.test_case "invalid targets rejected" `Quick
             test_engine_invalid_target;
+          Alcotest.test_case "rejected insert leaves no trace" `Quick
+            test_rejected_insert_atomic;
           Alcotest.test_case "insert and delete publish" `Quick
             test_engine_structural;
           Alcotest.test_case "closed engine refuses writes" `Quick

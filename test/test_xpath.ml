@@ -71,12 +71,10 @@ let test_print_roundtrip () =
 let test_eval_indexed_uses_indices () =
   let d = Lazy.force db in
   let t = Xpath.parse_exn "//person[.//age = 42]" in
-  ignore (Xpath.eval_indexed d t);
-  let plan = Xpath.last_plan () in
+  let _, plan = Xpath.eval_with_plan d t in
   Alcotest.(check int) "double index probed" 1 plan.Xpath.used_double_index;
   let t = Xpath.parse_exn "//person[name/first = \"Ford\"]" in
-  ignore (Xpath.eval_indexed d t);
-  let plan = Xpath.last_plan () in
+  let _, plan = Xpath.eval_with_plan d t in
   Alcotest.(check int) "string index probed" 1 plan.Xpath.used_string_index
 
 (* the paper's motivating queries *)
@@ -121,8 +119,7 @@ let test_name_driven_chain = check "/site/items/item" [ "item"; "item"; "item" ]
 let test_name_index_counter () =
   let d = Lazy.force db in
   let t = Xpath.parse_exn "//person[income]" in
-  ignore (Xpath.eval_indexed d t);
-  let plan = Xpath.last_plan () in
+  let _, plan = Xpath.eval_with_plan d t in
   Alcotest.(check int) "name index used" 1 plan.Xpath.used_name_index
 
 let test_doc_order () =
