@@ -856,6 +856,14 @@ let serve_cmd =
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
     in
+    (* Every commit after an epoch publication clones the column pages it
+       writes, and the superseded pages are off-heap garbage the GC sees
+       only through custom-block accounting. At the runtime's default
+       (44% of the major heap) they and the heap's own floating garbage
+       wait ~200 commits for a major cycle; at 20% the server's resident
+       set stays where it was when a commit cloned 32 KiB chunks (DESIGN.md
+       "Paged copy-on-write columns"). *)
+    Gc.set { (Gc.get ()) with Gc.custom_major_ratio = 20 };
     match follow with
     | Some leader_socket -> (
         match Repl_transport.connect ~socket:leader_socket () with

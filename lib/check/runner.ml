@@ -516,13 +516,14 @@ type concurrent_outcome = {
 let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
     ~seed ~readers ~commits () =
   try
-    (* Small column chunks (2^8 entries) so the scripted writes append
-       and mutate across many chunk boundaries: the run then exercises
-       the store's chunked copy-on-write — shared chunks cloned on first
-       write, fresh chunks appended past the boundary — not just the
-       heap indexes' isolation. The chunk size travels with each vector,
-       so every copy, epoch, and oracle replica in the run agrees. *)
-    Xvi_util.Bigvec.with_chunk_log_for_testing 8 @@ fun () ->
+    (* Tiny column pages (2^4 entries, 2^4 pages per directory) so the
+       scripted writes append and mutate across many page and directory
+       boundaries: the run then exercises the columns' copy-on-write —
+       shared pages and directories cloned on first write, fresh pages
+       and directories appended past the boundary — not just the heap
+       indexes' isolation. The sizes travel with each vector, so every
+       copy, epoch, and oracle replica in the run agrees. *)
+    Xvi_util.Bigvec.with_chunk_log_for_testing 4 @@ fun () ->
     if readers < 1 then failf "run_concurrent: need at least one reader";
     if commits < 1 then failf "run_concurrent: need at least one commit";
     let rng = Prng.create seed in
@@ -612,7 +613,7 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
       | Error e -> failf "run_concurrent: %s" (Engine.error_to_string e)
     in
     (* Pin the pre-write epoch and hold it across the whole run: with
-       copy-on-write columns and trees the writer mutates chunks and
+       copy-on-write columns and trees the writer mutates pages and
        nodes this pin shares, so after every commit has landed its
        digest must still be the 0-commit prefix, and its answers —
        named elements, lookups, and scoped queries through the plane —
@@ -792,7 +793,7 @@ let run_concurrent ?(config = default_config) ?(log = fun (_ : string) -> ())
     if Db.digest pin0.Engine.db <> pin0_digest then
       failf
         "pinned pre-write epoch changed under the writer — a copy-on-write \
-         chunk or tree node was mutated while shared";
+         page or tree node was mutated while shared";
     if answers pin0.Engine.db <> pin0_answers then
       failf
         "pinned pre-write epoch answers differently after the structural \

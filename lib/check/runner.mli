@@ -69,13 +69,13 @@ val render_trace : failure -> string
     has made further progress — so a run that returns [Ok] has
     witnessed, not assumed, that no read ever blocks on the writer.
 
-    The run forces small column chunks
+    The run forces tiny column pages and directories
     ({!Xvi_util.Bigvec.with_chunk_log_for_testing}) so the scripted
-    writes cross many chunk boundaries, and holds one pre-write pin
-    across the entire script: at the end its digest, and its answers to
-    name, lookup and scoped queries, must be exactly those at pin time —
-    no copy-on-write chunk, tree node, shared plane or name-index entry
-    was changed in place under it. *)
+    writes cross many page and directory boundaries, and holds one
+    pre-write pin across the entire script: at the end its digest, and
+    its answers to name, lookup and scoped queries, must be exactly
+    those at pin time — no copy-on-write page, tree node, shared plane
+    or name-index entry was changed in place under it. *)
 
 type concurrent_outcome = {
   readers : int;  (** reader domains raced *)

@@ -97,7 +97,7 @@ let of_xml_exn ?config src = of_store ?config (Parser.parse_exn src)
    GC-heap "shell" (configuration plus the indexes). [Snapshot]
    serialises the store through its raw columnar codec and marshals the
    shell alongside. The shell holds each index's persisted image: index
-   columns at their logical length, not as whole off-heap chunks. The
+   columns at their logical length, not as whole off-heap pages. The
    name index is not stored at all — it is one pass over the store, so
    [reconstruct] rebuilds it. *)
 type shell = {
@@ -128,8 +128,8 @@ let reconstruct store shell =
   }
 
 (* Epoch publication by structural sharing: the store and every index
-   column are chunked copy-on-write vectors and every index tree is a
-   path-copying B+tree, so the copy is O(chunk tables) and each side
+   column are paged copy-on-write vectors and every index tree is a
+   path-copying B+tree, so the copy is O(directories) and each side
    pays only for what it writes next. The plane is immutable and stays
    valid under value updates, so the copy shares the cached one; a
    structural update on either side drops only that side's cache. *)
@@ -147,7 +147,7 @@ let copy t =
 (* A digest of the logical state: every live node's kind, links, name
    and text, then each index's own logical digest. Equal content digests
    equally whatever the copy history — unlike marshalled bytes, which
-   carry owner tokens and chunk-sharing flags. *)
+   carry owner tokens. *)
 let digest t =
   let store = t.store in
   let b = Buffer.create 4096 in

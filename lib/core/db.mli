@@ -78,9 +78,9 @@ val of_xml_exn : ?config:Config.t -> string -> t
      and handle the Error case"]
 
 val copy : t -> t
-(** A logically independent replica in O(chunk tables), with no
+(** A logically independent replica in O(directories), with no
     serialisation: the off-heap store and every index column are
-    snapshotted copy-on-write (chunks shared until either side writes
+    snapshotted copy-on-write (pages shared until either side writes
     one), every index B+tree is snapshotted by path copying, and the
     cached {!plane} is shared (it is immutable, and value updates keep
     it valid). One side can be mutated while the other is read from
@@ -95,7 +95,7 @@ val digest : t -> string
     the hash and SCT fields and typed keys of every live indexed node.
     Two databases with the same content have the same digest whatever
     their copy history — marshalled bytes would differ with owner
-    tokens and chunk-sharing flags. The crash, replication and
+    tokens. The crash, replication and
     concurrency sweeps compare states with it. *)
 
 type shell

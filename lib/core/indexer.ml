@@ -35,7 +35,7 @@ let sct_ops sct =
 
 (* Every field kind is an int (a 32-bit hash or an SCT state), so the
    column is an off-heap copy-on-write int vector: the GC never scans
-   it, and [snapshot] shares its chunks with the published epoch. *)
+   it, and [snapshot] shares its pages with the published epoch. *)
 type 'f fields = { col : Bigvec.Int.t; fops : 'f ops }
 
 let empty_fields ops = { col = Bigvec.Int.create (); fops = ops }

@@ -38,7 +38,7 @@ type 'f fields
     copy-on-write int column ({!Xvi_util.Bigvec.Int}). *)
 
 val snapshot : 'f fields -> 'f fields
-(** O(chunk table) logical copy; both sides clone a shared chunk on
+(** O(directories) logical copy; both sides clone a shared page on
     their next write to it. *)
 
 val export : 'f fields -> int array

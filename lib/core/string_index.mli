@@ -83,8 +83,8 @@ val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
 (** {1 Epochs and persistence} *)
 
 val snapshot : t -> t
-(** O(chunk table) logically independent copy: the posting tree is
-    path-copied and the hash column chunk-cloned on the next write to
+(** O(directories) logically independent copy: the posting tree is
+    path-copied and the hash column page-cloned on the next write to
     either side. *)
 
 type image

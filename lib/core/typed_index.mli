@@ -102,8 +102,8 @@ val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
 (** {1 Epochs and persistence} *)
 
 val snapshot : t -> t
-(** O(chunk table) logically independent copy: the value tree is
-    path-copied, and the state and key columns chunk-cloned, on the next
+(** O(directories) logically independent copy: the value tree is
+    path-copied, and the state and key columns page-cloned, on the next
     write to either side. *)
 
 type image

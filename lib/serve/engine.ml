@@ -59,8 +59,8 @@ type t = {
    Every helper below runs with [t.lock] held. An epoch is cut only when
    the whole master state is durable ([durable_upto >= last_lsn]): the
    copy would otherwise leak commits a crash could take back. [Db.copy]
-   shares chunks and tree nodes with the master, so an epoch costs
-   O(chunk tables); the master's next writes copy what they touch. The
+   shares column pages and tree nodes with the master, so an epoch costs
+   O(directories); the master's next writes copy what they touch. The
    plane is forced on the master before the copy, which shares it: it is
    rebuilt only after a structural commit dropped it, and readers never
    write the (benignly racy) lazy cache themselves. *)
@@ -529,6 +529,8 @@ type stats = {
   durable_lsn : Wal.lsn;
   txn : Txn.stats;
   durable : Durable.stats option;
+  cow_pages : int;
+  cow_bytes : int;
 }
 
 let stats t =
@@ -543,6 +545,8 @@ let stats t =
           (match t.backend with
           | Disk d -> Some (Durable.stats d)
           | Mem | Rep _ -> None);
+        cow_pages = Xvi_util.Bigvec.cow_pages ();
+        cow_bytes = Xvi_util.Bigvec.cow_bytes ();
       })
 
 let close t =

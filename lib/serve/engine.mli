@@ -10,7 +10,7 @@
     {b Epoch-based MVCC.} The engine owns a private {e master} database
     that only the single writer (serialised by an internal lock) ever
     mutates. After commits become durable, the engine {e publishes} an
-    immutable copy of the master — an {e epoch}, sharing chunks, tree
+    immutable copy of the master — an {e epoch}, sharing column pages, tree
     nodes and the plane with it copy-on-write ({!Xvi_core.Db.copy}) —
     through one [Atomic] cell. Readers {!pin} the current epoch with a single atomic
     load and then run any {!Xvi_core.Db} read against a database no one
@@ -218,6 +218,12 @@ type stats = {
   durable_lsn : Xvi_wal.Wal.lsn;  (** fsync watermark; [>= last_lsn] means no deferred tail *)
   txn : Xvi_txn.Txn.stats;
   durable : Xvi_wal.Durable.stats option;  (** [None] on memory engines *)
+  cow_pages : int;
+      (** column pages cloned by copy-on-write, process-wide since start
+          ({!Xvi_util.Bigvec.cow_pages}) *)
+  cow_bytes : int;
+      (** bytes those clones and their directory copies moved
+          ({!Xvi_util.Bigvec.cow_bytes}) *)
 }
 
 val stats : t -> stats

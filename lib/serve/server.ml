@@ -117,6 +117,13 @@ let stats_pairs t =
               string_of_int d.Xvi_wal.Durable.last_checkpoint_lsn );
           ]
   in
+  let base =
+    base
+    @ [
+        ("cow_pages", string_of_int s.Engine.cow_pages);
+        ("cow_bytes", string_of_int s.Engine.cow_bytes);
+      ]
+  in
   match t.repl with
   | None -> base
   | Some r -> base @ (("role", r.role) :: r.stats_extra ())

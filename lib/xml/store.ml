@@ -107,7 +107,7 @@ let create () =
   assert (id = document);
   t
 
-(* Share-don't-copy epoch publication: every column chunk is shared with
+(* Share-don't-copy epoch publication: every column page is shared with
    the snapshot and cloned lazily on the next write to it. The name pool
    and scalar bookkeeping are copied eagerly (they are small). *)
 let snapshot t =
@@ -534,10 +534,9 @@ let pre_size_level t =
 module Codec = struct
   (* Raw columnar blob: fixed-width u64 LE fields and column contents,
      then the arena bytes. The snapshot layer digest-frames the blob, so
-     the codec itself carries no checksums. Decoding rebuilds canonical
-     fresh vectors (exact chunk tables, zero slack, all-owned flags) —
-     a decoded store marshals identically to an organically built one
-     with the same history. *)
+     the codec itself carries no checksums. Decoding fills fresh vectors
+     a page at a time ([Bigvec.Int.init], [Bigvec.Byte.append_substring])
+     into the same exact-size tables that element pushes build. *)
 
   let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
@@ -558,11 +557,7 @@ module Codec = struct
       add_u64 buf (String.length s);
       Buffer.add_string buf s
     done;
-    let column c =
-      for i = 0 to n - 1 do
-        add_u64 buf (Bv.Int.get c i)
-      done
-    in
+    let column c = Bv.Int.iteri (fun _ v -> add_u64 buf v) c in
     column t.kinds;
     column t.names;
     column t.parents;
@@ -573,8 +568,11 @@ module Codec = struct
     column t.first_attrs;
     column t.text_offs;
     column t.text_lens;
-    for i = 0 to arena_len - 1 do
-      Buffer.add_char buf (Bv.Byte.get t.arena i)
+    let slice = 65536 in
+    for k = 0 to (arena_len - 1) / slice do
+      let off = k * slice in
+      Buffer.add_string buf
+        (Bv.Byte.sub_string t.arena off (Int.min slice (arena_len - off)))
     done;
     Buffer.contents buf
 
@@ -609,11 +607,12 @@ module Codec = struct
       ignore (Name_pool.intern pool (str len) : int)
     done;
     let column () =
-      let c = Bv.Int.create () in
-      for _ = 1 to n do
-        Bv.Int.push c (u64 ())
-      done;
-      c
+      if n > (String.length blob - !pos) / 8 then
+        failwith "Store.Codec.decode: truncated blob";
+      let base = !pos in
+      pos := base + (8 * n);
+      Bv.Int.init n (fun i ->
+          Int64.to_int (String.get_int64_le blob (base + (8 * i))))
     in
     let kinds = column () in
     let names = column () in
@@ -627,9 +626,7 @@ module Codec = struct
     let text_lens = column () in
     let arena = Bv.Byte.create () in
     need arena_len;
-    for i = 0 to arena_len - 1 do
-      Bv.Byte.push arena (String.unsafe_get blob (!pos + i))
-    done;
+    ignore (Bv.Byte.append_substring arena blob !pos arena_len : int);
     pos := !pos + arena_len;
     if !pos <> String.length blob then
       failwith "Store.Codec.decode: trailing bytes";

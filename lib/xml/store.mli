@@ -33,10 +33,10 @@ val create : unit -> t
 (** Empty store containing only the document node. *)
 
 val snapshot : t -> t
-(** O(chunks) copy-on-write snapshot: the result shares all column
-    chunks with [t]; whichever side writes into a shared chunk first
-    clones just that chunk. This is what epoch publication uses instead
-    of deep-copying whole columns. *)
+(** O(directories) copy-on-write snapshot: the result shares all column
+    pages with [t]; whichever side writes into a shared page first
+    clones just that page (and its directory). This is what epoch
+    publication uses instead of deep-copying whole columns. *)
 
 val document : node
 (** The document node id (0). *)

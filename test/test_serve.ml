@@ -804,6 +804,30 @@ let test_engine_empty_commit () =
       Alcotest.(check int) "no commit counted" before.Engine.commits
         after.Engine.commits)
 
+(* A commit right after an epoch publication clones only the column
+   pages it writes (and their directories), read through the
+   process-wide counter the [stats] verb reports. With 32 KiB chunks
+   the same 4-write commit on XMark x0.1 cloned ~0.5 MB. *)
+let test_engine_commit_clones_pages () =
+  let xml = Xvi_workload.Xmark.generate ~seed:3 ~factor:0.1 () in
+  with_mem_engine xml (fun engine ->
+      let texts = texts_of (Engine.snapshot engine) in
+      let pick k = texts.(k * (Array.length texts - 1) / 4) in
+      (* the first commit publishes an epoch that shares every page *)
+      ignore (ok_exn "warm-up" (Engine.update_texts engine [ (pick 0, "warm") ]) : int);
+      let before = Engine.stats engine in
+      ignore
+        (ok_exn "4-write commit"
+           (Engine.update_texts engine
+              [ (pick 1, "cow-a"); (pick 2, "17.5"); (pick 3, "cow-b"); (pick 4, "-3") ])
+          : int);
+      let after = Engine.stats engine in
+      let bytes = after.Engine.cow_bytes - before.Engine.cow_bytes in
+      if after.Engine.cow_pages <= before.Engine.cow_pages then
+        Alcotest.fail "a commit under a published epoch cloned no page";
+      if bytes > 64 * 1024 then
+        Alcotest.failf "4-write commit cloned %d bytes (> 64 KiB)" bytes)
+
 let test_engine_invalid_target () =
   with_mem_engine small_xml (fun engine ->
       let elem =
@@ -1263,6 +1287,8 @@ let () =
             test_engine_empty_commit;
           Alcotest.test_case "invalid targets rejected" `Quick
             test_engine_invalid_target;
+          Alcotest.test_case "commit after publication clones pages" `Quick
+            test_engine_commit_clones_pages;
           Alcotest.test_case "rejected insert leaves no trace" `Quick
             test_rejected_insert_atomic;
           Alcotest.test_case "insert and delete publish" `Quick

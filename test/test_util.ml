@@ -184,6 +184,170 @@ let test_bigvec_byte_arena () =
   Alcotest.(check string) "snapshot bytes frozen" "world"
     (Bigvec.Byte.sub_string snap o3 5)
 
+(* Model check of the paged copy-on-write vectors: random interleavings
+   of appends, sets and snapshots over up to six live versions, each
+   against its own reference array. Any version may be written,
+   snapshot products included, so a write through one version that
+   lands in a page or directory another still shares shows up as a
+   mismatch on the other. Runs at the default page and directory sizes
+   (with bulk appends long enough to cross a directory) and at 16-element
+   pages in 16-page directories. Replaying the same history a second
+   time must marshal every live version to the same bytes. *)
+
+type bv_op = Append of int list | Bulk of int | Set of int * int | Snap
+
+type 'v bv_ops = {
+  create : unit -> 'v;
+  length : 'v -> int;
+  get : 'v -> int -> int;
+  set : 'v -> int -> int -> unit;
+  append : 'v -> int array -> unit;
+  snapshot : 'v -> 'v;
+  norm : int -> int; (* the values the element type represents *)
+}
+
+let int_ops =
+  {
+    create = (fun () -> Bigvec.Int.create ());
+    length = Bigvec.Int.length;
+    get = Bigvec.Int.get;
+    set = Bigvec.Int.set;
+    append = (fun v a -> Array.iter (Bigvec.Int.push v) a);
+    snapshot = Bigvec.Int.snapshot;
+    norm = Fun.id;
+  }
+
+let float_ops =
+  {
+    create = (fun () -> Bigvec.Float.create ());
+    length = Bigvec.Float.length;
+    get = (fun v i -> int_of_float (Bigvec.Float.get v i));
+    set = (fun v i x -> Bigvec.Float.set v i (float_of_int x));
+    append = (fun v a -> Array.iter (fun x -> Bigvec.Float.push v (float_of_int x)) a);
+    snapshot = Bigvec.Float.snapshot;
+    norm = Fun.id;
+  }
+
+let byte_ops =
+  {
+    create = (fun () -> Bigvec.Byte.create ());
+    length = Bigvec.Byte.length;
+    get = (fun v i -> Char.code (Bigvec.Byte.get v i));
+    set = (fun v i x -> Bigvec.Byte.set v i (Char.chr x));
+    (* whole runs go through [append_string], single bytes through [push] *)
+    append =
+      (fun v a ->
+        if Array.length a = 1 then Bigvec.Byte.push v (Char.chr a.(0))
+        else
+          ignore
+            (Bigvec.Byte.append_string v
+               (String.init (Array.length a) (fun i -> Char.chr a.(i)))
+              : int));
+    snapshot = Bigvec.Byte.snapshot;
+    norm = (fun x -> x land 255);
+  }
+
+let gen_bv_ops ~bulk =
+  QCheck2.Gen.(
+    list_size (int_range 20 120)
+      (pair (int_bound 5)
+         (frequency
+            [
+              (4, map (fun l -> Append l) (list_size (int_range 1 40) (int_bound 1000)));
+              (1, map (fun n -> Bulk n) (int_bound bulk));
+              (6, map2 (fun i x -> Set (i, x)) (int_bound 1_000_000) (int_bound 1000));
+              (2, return Snap);
+            ])))
+
+(* Replay [ops]; returns the live versions (newest first) with models,
+   failing on the first version that disagrees with its model. *)
+let replay_bv ops script =
+  let live = ref [ (ops.create (), [||]) ] in
+  let agree (v, m) =
+    let n = Array.length m in
+    let rec from i = i = n || (ops.get v i = m.(i) && from (i + 1)) in
+    ops.length v = n && from 0
+  in
+  List.iteri
+    (fun step (pick, op) ->
+      let vs = Array.of_list !live in
+      let i = pick mod Array.length vs in
+      let v, m = vs.(i) in
+      (match op with
+      | Append l ->
+          let a = Array.of_list (List.map ops.norm l) in
+          ops.append v a;
+          vs.(i) <- (v, Array.append m a)
+      | Bulk n ->
+          let a = Array.init n (fun j -> ops.norm (j * 7919)) in
+          ops.append v a;
+          vs.(i) <- (v, Array.append m a)
+      | Set (j, x) when Array.length m > 0 ->
+          let j = j mod Array.length m and x = ops.norm x in
+          ops.set v j x;
+          let m = Array.copy m in
+          m.(j) <- x;
+          vs.(i) <- (v, m)
+      | Set _ | Snap -> ());
+      let vs = Array.to_list vs in
+      let vs = match op with Snap -> (ops.snapshot v, snd (List.nth vs i)) :: vs | _ -> vs in
+      live := List.filteri (fun k _ -> k < 6) vs;
+      if step mod 16 = 0 && not (List.for_all agree !live) then
+        QCheck2.Test.fail_reportf "a version diverged from its model at step %d" step)
+    script;
+  if not (List.for_all agree !live) then
+    QCheck2.Test.fail_report "a version diverged from its model at the end";
+  !live
+
+let prop_bigvec_model name ops ~log ~bulk ~count =
+  QCheck2.Test.make ~name ~count (gen_bv_ops ~bulk) (fun script ->
+      let run () =
+        match log with
+        | None -> replay_bv ops script
+        | Some log -> Bigvec.with_chunk_log_for_testing log (fun () -> replay_bv ops script)
+      in
+      let digests live = List.map (fun (v, _) -> Digest.string (Marshal.to_string v [])) live in
+      List.equal String.equal (digests (run ())) (digests (run ())))
+
+let bigvec_model_tests =
+  List.concat_map
+    (fun (kind, test) -> test kind)
+    [
+      ("int", fun k ->
+          [ prop_bigvec_model (k ^ " model, 16-element pages") int_ops ~log:(Some 4) ~bulk:600 ~count:100;
+            prop_bigvec_model (k ^ " model, default pages") int_ops ~log:None ~bulk:20_000 ~count:8 ]);
+      ("float", fun k ->
+          [ prop_bigvec_model (k ^ " model, 16-element pages") float_ops ~log:(Some 4) ~bulk:600 ~count:100;
+            prop_bigvec_model (k ^ " model, default pages") float_ops ~log:None ~bulk:20_000 ~count:8 ]);
+      ("byte", fun k ->
+          [ prop_bigvec_model (k ^ " model, 128-byte pages") byte_ops ~log:(Some 4) ~bulk:4000 ~count:100;
+            prop_bigvec_model (k ^ " model, default pages") byte_ops ~log:None ~bulk:150_000 ~count:8 ]);
+    ]
+
+(* Pushes and the bulk paths build the same tables: a vector filled by
+   [init]/[of_array] or [append_string] marshals like one filled an
+   element at a time. *)
+let test_bigvec_bulk_paths () =
+  Bigvec.with_chunk_log_for_testing 4 @@ fun () ->
+  let n = 16 * 16 * 3 + 5 in
+  let a = Array.init n (fun i -> i * 3) in
+  let pushed = Bigvec.Int.create () in
+  Array.iter (Bigvec.Int.push pushed) a;
+  let m v = Digest.string (Marshal.to_string v []) in
+  Alcotest.(check string) "init = pushes" (m pushed) (m (Bigvec.Int.init n (fun i -> a.(i))));
+  Alcotest.(check string) "of_array = pushes" (m pushed) (m (Bigvec.Int.of_array a));
+  Alcotest.(check bool) "to_array" true (Bigvec.Int.to_array pushed = a);
+  let s = String.init 1000 (fun i -> Char.chr (i land 255)) in
+  let b1 = Bigvec.Byte.create () and b2 = Bigvec.Byte.create () in
+  String.iter (Bigvec.Byte.push b1) s;
+  ignore (Bigvec.Byte.append_substring b2 ("xx" ^ s ^ "yy") 2 1000 : int);
+  Alcotest.(check string) "append_substring = pushes" (m b1) (m b2);
+  Alcotest.(check string) "sub_string across pages" (String.sub s 100 700)
+    (Bigvec.Byte.sub_string b2 100 700);
+  Alcotest.check_raises "append_substring bounds"
+    (Invalid_argument "Bigvec.Byte.append_substring") (fun () ->
+      ignore (Bigvec.Byte.append_substring b2 s 990 11 : int))
+
 let test_table_formats () =
   Alcotest.(check string) "int" "4,690,640" (Table.fmt_int 4690640);
   Alcotest.(check string) "small int" "42" (Table.fmt_int 42);
@@ -224,7 +388,10 @@ let () =
           Alcotest.test_case "copy-on-write snapshot" `Quick
             test_bigvec_cow_snapshot;
           Alcotest.test_case "byte arena" `Quick test_bigvec_byte_arena;
+          Alcotest.test_case "bulk paths match pushes" `Quick
+            test_bigvec_bulk_paths;
         ] );
+      ("bigvec model", List.map QCheck_alcotest.to_alcotest bigvec_model_tests);
       ( "table",
         [
           Alcotest.test_case "formats" `Quick test_table_formats;

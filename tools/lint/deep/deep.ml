@@ -10,7 +10,7 @@
          dominated by the writer lock (serve/repl entry points);
      D2  no mutation after an epoch publication in the same critical
          section, and no mutation of a value that flowed out of
-         [Engine.pin] (COW shared-chunk invariant);
+         [Engine.pin] (COW shared-page invariant);
      D3  in wal/txn/repl: validate before append, fsync before ack,
          and file+dir fsync around a snapshot rename;
      D4  encoder/decoder pairs match the same tag/verb set.
@@ -156,7 +156,7 @@ let classify_comps comps =
       bit Mut
   (* the copy-on-write index structures: B+tree writes path-copy only
      nodes another tree can reach, and index-column writes clone only
-     chunks a snapshot shares — after publication in the same critical
+     pages a snapshot shares — after publication in the same critical
      section they would land in what the new epoch still shares *)
   | ("insert" | "remove") :: rest
     when List.exists (fun c -> c = "Btree" || c = "BT") rest ->
@@ -1022,7 +1022,7 @@ let check_d2 g sums =
                       (Printf.sprintf
                          "store mutation (%s) after epoch publication (%s, \
                           line %d) in the same critical section: pinned \
-                          readers share these chunks"
+                          readers share these pages"
                          desc pd pl)
                 | None -> ())
             | Eprim _ -> ()
@@ -1072,7 +1072,7 @@ let check_d2 g sums =
                         ]
                       (Printf.sprintf
                          "mutation of %s, which flowed out of Engine.pin: \
-                          pinned snapshots are immutable (COW shared-chunk \
+                          pinned snapshots are immutable (COW shared-page \
                           invariant)"
                          n)
                 | _ -> ());
