@@ -260,6 +260,26 @@ let fig10 () =
               Table.fmt_ms (!dbl_total /. float_of_int !reps) :: !dbl_cells
           end)
         counts;
+      (* the timed maintenance must have left what a rebuild builds *)
+      let check what = function
+        | Ok () -> ()
+        | Error m ->
+            Printf.eprintf "fig10: %s %s index diverged after the sweep: %s\n"
+              e.Datasets.name what m;
+            exit 1
+      in
+      check "string" (SI.validate si store);
+      check "double" (TI.validate ti store);
+      check "string"
+        (if String.equal (SI.digest si store) (SI.digest (SI.create store) store)
+         then Ok ()
+         else Error "digest <> rebuild");
+      check "double"
+        (if
+           String.equal (TI.digest ti store)
+             (TI.digest (TI.create (LT.double ()) store) store)
+         then Ok ()
+         else Error "digest <> rebuild");
       rows := (e.Datasets.name :: "string" :: List.rev !str_cells) :: !rows;
       rows := ("" :: "double" :: List.rev !dbl_cells) :: !rows)
     !suite;

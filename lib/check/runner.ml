@@ -118,10 +118,13 @@ let apply_txn db (s : Gen.txn_script) =
     let aborted = 2 - committed in
     if st.Txn.committed <> committed || st.Txn.aborted <> aborted
        || st.Txn.conflicts <> conflicts
+       || st.Txn.committed + st.Txn.empty + st.Txn.aborted <> 2
     then
-      failf "txn stats {c=%d;a=%d;x=%d} do not reconcile with {c=%d;a=%d;x=%d}"
-        st.Txn.committed st.Txn.aborted st.Txn.conflicts committed aborted
-        conflicts
+      failf
+        "txn stats {c=%d;e=%d;a=%d;x=%d} do not reconcile with \
+         {c=%d;e=0;a=%d;x=%d}"
+        st.Txn.committed st.Txn.empty st.Txn.aborted st.Txn.conflicts committed
+        aborted conflicts
   end
 
 (* An ill-formed insert must fail, and — like the oracle, which does

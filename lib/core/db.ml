@@ -466,9 +466,9 @@ let update_texts t updates =
     | Some _ -> List.map (fun (n, _) -> (n, Store.text t.store n)) updates
   in
   List.iter (fun (n, txt) -> Store.set_text t.store n txt) updates;
-  let nodes = List.map fst updates in
-  String_index.update_texts t.strings t.store nodes;
-  List.iter (fun ti -> Typed_index.update_texts ti t.store nodes) t.typed;
+  let fr = Indexer.frontier t.store ~texts:(List.map fst updates) () in
+  String_index.maintain t.strings t.store fr;
+  List.iter (fun ti -> Typed_index.maintain ti t.store fr) t.typed;
   match t.substring with
   | None -> ()
   | Some si -> Substring_index.update_texts si t.store with_old
@@ -496,10 +496,9 @@ let delete_subtree t n =
       | _ -> ());
   Store.delete_subtree t.store n;
   let removed = !removed in
-  String_index.on_delete t.strings t.store ~parent ~removed;
-  List.iter
-    (fun ti -> Typed_index.on_delete ti t.store ~parent ~removed)
-    t.typed;
+  let fr = Indexer.frontier t.store ~texts:[] ~structural:[ parent ] () in
+  String_index.on_delete t.strings t.store ~removed fr;
+  List.iter (fun ti -> Typed_index.on_delete ti t.store ~removed fr) t.typed;
   (match t.substring with
   | None -> ()
   | Some si -> Substring_index.on_delete si ~removed:!removed_values);
@@ -509,8 +508,12 @@ let insert_xml t ~parent src =
   match Parser.parse_fragment t.store ~parent src with
   | Error _ as e -> e
   | Ok roots ->
-      String_index.on_insert t.strings t.store ~roots;
-      List.iter (fun ti -> Typed_index.on_insert ti t.store ~roots) t.typed;
+      let parents =
+        List.sort_uniq Int.compare (List.filter_map (Store.parent t.store) roots)
+      in
+      let fr = Indexer.frontier t.store ~texts:[] ~structural:parents () in
+      String_index.on_insert t.strings t.store ~roots fr;
+      List.iter (fun ti -> Typed_index.on_insert ti t.store ~roots fr) t.typed;
       (match t.substring with
       | None -> ()
       | Some si -> Substring_index.on_insert si t.store ~roots);

@@ -1,5 +1,6 @@
 module Store = Xvi_xml.Store
 module Bigvec = Xvi_util.Bigvec
+module Vec = Xvi_util.Vec
 
 type 'f ops = {
   field_name : string;
@@ -9,6 +10,8 @@ type 'f ops = {
   equal : 'f -> 'f -> bool;
   to_int : 'f -> int;
   of_int : int -> 'f;
+  absorbing : 'f option;
+  inverse : ('f -> 'f) option;
 }
 
 let hash_ops =
@@ -20,6 +23,8 @@ let hash_ops =
     equal = Hash.equal;
     to_int = Hash.to_int;
     of_int = Hash.of_int;
+    absorbing = None;
+    inverse = Some Hash.inverse;
   }
 
 let sct_ops sct =
@@ -31,6 +36,8 @@ let sct_ops sct =
     equal = Int.equal;
     to_int = Fun.id;
     of_int = Fun.id;
+    absorbing = Some (Sct.reject sct);
+    inverse = None;
   }
 
 (* Every field kind is an int (a 32-bit hash or an SCT state), so the
@@ -58,14 +65,23 @@ let import ops a = { col = Bigvec.Int.of_array a; fops = ops }
 
 (* Combine the fields of [n]'s live children in document order, walking
    sibling links directly (no list allocation — this is the inner loop
-   of update maintenance). *)
+   of update maintenance). Once the accumulator is the absorbing element
+   (the SCT's reject) no later child can change it, so the walk stops. *)
 let fold_children ops store fields n =
   let rec go acc c =
     match c with
     | None -> acc
     | Some c -> go (ops.combine acc (get fields c)) (Store.next_sibling store c)
   in
-  go ops.identity (Store.first_child store n)
+  let rec go_until z acc c =
+    match c with
+    | Some c when not (ops.equal acc z) ->
+        go_until z (ops.combine acc (get fields c)) (Store.next_sibling store c)
+    | _ -> acc
+  in
+  match ops.absorbing with
+  | None -> go ops.identity (Store.first_child store n)
+  | Some z -> go_until z ops.identity (Store.first_child store n)
 
 (* Fields of attribute nodes are independent of the child recursion; both
    the creation pass and the reference computation share this. *)
@@ -292,106 +308,7 @@ let create_multi ?pool store packs =
       create_multi_parallel pool store packs
   | _ -> create_multi_serial store packs
 
-(* --- Reference computation (tests) --- *)
-
-let create_reference (type f) (ops : f ops) store =
-  let fields = empty_fields ops in
-  let rec go n =
-    match Store.kind store n with
-    | Store.Text ->
-        let f = ops.of_text (Store.text store n) in
-        set fields n f;
-        f
-    | Store.Comment | Store.Pi | Store.Deleted | Store.Attribute ->
-        ops.identity
-    | Store.Element | Store.Document ->
-        compute_attributes ops store fields n;
-        let f =
-          List.fold_left
-            (fun acc c -> ops.combine acc (go c))
-            ops.identity (Store.children store n)
-        in
-        set fields n f;
-        f
-  in
-  ignore (go Store.document : f);
-  fields
-
-(* --- Figure 8: updates --- *)
-
-type 'f change = {
-  node : Store.node;
-  old_field : 'f;
-  new_field : 'f;
-  level : int;
-}
-
-type 'f update_result = {
-  changes : 'f change list;
-  touched : (Store.node * int) list;
-}
-
-let update ops store fields ~texts ?(structural = []) () =
-  let changes = ref [] in
-  let assign n v =
-    let old = get fields n in
-    if not (ops.equal old v) then begin
-      set fields n v;
-      changes := { node = n; old_field = old; new_field = v; level = Store.level store n } :: !changes
-    end
-  in
-  (* 1. Recompute the updated leaves themselves. *)
-  List.iter
-    (fun n ->
-      match Store.kind store n with
-      | Store.Text | Store.Attribute -> assign n (ops.of_text (Store.text store n))
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Indexer.update: node %d is not a text or attribute"
-               n))
-    texts;
-  (* 2. Collect dirty ancestors. Attribute values do not contribute to
-     their element's string value, so attribute updates stop there. *)
-  let dirty = Hashtbl.create 64 in
-  let rec mark_ancestors n =
-    match Store.parent store n with
-    | None -> ()
-    | Some p ->
-        if not (Hashtbl.mem dirty p) then begin
-          Hashtbl.replace dirty p ();
-          mark_ancestors p
-        end
-  in
-  List.iter
-    (fun n -> if Store.kind store n = Store.Text then mark_ancestors n)
-    texts;
-  List.iter
-    (fun n ->
-      if not (Hashtbl.mem dirty n) then begin
-        Hashtbl.replace dirty n ();
-        mark_ancestors n
-      end)
-    structural;
-  (* 3. Recombine dirty nodes bottom-up from their immediate children —
-     the paper's "visiting only the siblings and reading their hash
-     values" (Figure 8, lines 14-16 / 19-21). *)
-  let by_depth =
-    List.sort
-      (fun (_, la) (_, lb) -> Int.compare lb la)
-      (Hashtbl.fold (fun n () acc -> (n, Store.level store n) :: acc) dirty [])
-  in
-  List.iter (fun (n, _) -> assign n (fold_children ops store fields n)) by_depth;
-  let touched =
-    List.sort
-      (fun (_, la) (_, lb) -> Int.compare lb la)
-      (List.rev_append
-         (List.map (fun n -> (n, Store.level store n)) texts)
-         by_depth)
-  in
-  {
-    changes = List.sort (fun a b -> Int.compare b.level a.level) !changes;
-    touched;
-  }
+(* --- Reference computation (tests), and fresh subtrees --- *)
 
 let compute_subtree (type f) (ops : f ops) store fields root =
   let rec go n =
@@ -413,3 +330,196 @@ let compute_subtree (type f) (ops : f ops) store fields root =
         f
   in
   ignore (go root : f)
+
+let create_reference ops store =
+  let fields = empty_fields ops in
+  compute_subtree ops store fields Store.document;
+  fields
+
+(* --- Figure 8: updates --- *)
+
+type 'f change = {
+  node : Store.node;
+  old_field : 'f;
+  new_field : 'f;
+  level : int;
+}
+
+type 'f update_result = {
+  changes : 'f change list;
+  touched : (Store.node * int) list;
+}
+
+(* How a frontier node gets its new field. *)
+let leaf = 0 (* a written text or attribute: from its text *)
+let structural = 1 (* its child list changed: re-fold every child *)
+let ancestor = 2 (* above a write: only if a child's field changed *)
+
+type frontier = {
+  nodes : int array; (* deepest first *)
+  levels : int array;
+  parents : int array; (* slot of the node's parent, or -1 *)
+  roles : int array;
+}
+
+module Slots = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash n = n land max_int
+end)
+
+let frontier store ~texts ?structural:(structurals = []) () =
+  (* Discovery order first. A walk up from a written node stops at the
+     first node already held, whose level is then known: every level
+     costs one step, and no node is walked twice. *)
+  let slot = Slots.create 64 in
+  let nodes = Vec.Int.create () and levels = Vec.Int.create () in
+  let parents = Vec.Int.create () and roles = Vec.Int.create () in
+  let push n ~level ~parent role =
+    let i = Vec.Int.length nodes in
+    Slots.add slot n i;
+    Vec.Int.push nodes n;
+    Vec.Int.push levels level;
+    Vec.Int.push parents parent;
+    Vec.Int.push roles role;
+    i
+  in
+  let rec hold n role =
+    match Slots.find_opt slot n with
+    | Some i ->
+        if role = structural then Vec.Int.set roles i structural;
+        i
+    | None -> (
+        match Store.parent store n with
+        | None -> push n ~level:0 ~parent:(-1) role
+        | Some p ->
+            let pi = hold p ancestor in
+            push n ~level:(Vec.Int.get levels pi + 1) ~parent:pi role)
+  in
+  let rec level_of n =
+    match Slots.find_opt slot n with
+    | Some i -> Vec.Int.get levels i
+    | None -> (
+        match Store.parent store n with None -> 0 | Some p -> 1 + level_of p)
+  in
+  List.iter
+    (fun n ->
+      match Store.kind store n with
+      | Store.Text -> ignore (hold n leaf : int)
+      | Store.Attribute ->
+          (* an attribute value is no part of its element's string
+             value: the write stops at the attribute *)
+          if not (Slots.mem slot n) then
+            ignore (push n ~level:(level_of n) ~parent:(-1) leaf : int)
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "Indexer.frontier: node %d is not a text or attribute"
+               n))
+    texts;
+  List.iter (fun n -> ignore (hold n structural : int)) structurals;
+  (* Counting sort by level, deepest first, stable in discovery order;
+     parent slots are renumbered to match. *)
+  let count = Vec.Int.length nodes in
+  let depth = Vec.Int.fold_left max 0 levels in
+  let starts = Array.make (depth + 2) 0 in
+  Vec.Int.iter (fun l -> starts.(depth - l + 1) <- starts.(depth - l + 1) + 1) levels;
+  for d = 1 to depth + 1 do
+    starts.(d) <- starts.(d) + starts.(d - 1)
+  done;
+  let pos =
+    Array.init count (fun i ->
+        let d = depth - Vec.Int.get levels i in
+        let p = starts.(d) in
+        starts.(d) <- p + 1;
+        p)
+  in
+  let sorted col f =
+    let a = Array.make count 0 in
+    for i = 0 to count - 1 do
+      a.(pos.(i)) <- f (Vec.Int.get col i)
+    done;
+    a
+  in
+  {
+    nodes = sorted nodes Fun.id;
+    levels = sorted levels Fun.id;
+    parents = sorted parents (fun p -> if p < 0 then p else pos.(p));
+    roles = sorted roles Fun.id;
+  }
+
+(* [h = prefix . old_child . suffix] for a group: walk the siblings
+   outward from the changed child, one step each way in turn, until
+   either end is reached. The finished side (the prefix, or the suffix)
+   gives the other through the inverse, and the new field is
+   [prefix . new_child . suffix] — what {!Hash.replace} computes. *)
+let delta ops inv store fields child ~old_child ~new_child h =
+  let rec walk l r prefix suffix =
+    match (l, r) with
+    | None, _ ->
+        let suffix = ops.combine (inv old_child) (ops.combine (inv prefix) h) in
+        ops.combine prefix (ops.combine new_child suffix)
+    | _, None ->
+        let prefix = ops.combine h (ops.combine (inv suffix) (inv old_child)) in
+        ops.combine prefix (ops.combine new_child suffix)
+    | Some l, Some r ->
+        walk (Store.prev_sibling store l) (Store.next_sibling store r)
+          (ops.combine (get fields l) prefix)
+          (ops.combine suffix (get fields r))
+  in
+  walk (Store.prev_sibling store child) (Store.next_sibling store child)
+    ops.identity ops.identity
+
+let maintain ops store fields fr =
+  let count = Array.length fr.nodes in
+  let olds = Array.make count ops.identity in
+  let news = Array.make count ops.identity in
+  (* per slot: how many children changed their field, and the last one *)
+  let changed = Array.make count 0 and last_changed = Array.make count (-1) in
+  for i = 0 to count - 1 do
+    let n = fr.nodes.(i) in
+    let old = get fields n in
+    let role = fr.roles.(i) in
+    let v =
+      if role = leaf then ops.of_text (Store.text store n)
+      else if role = structural then fold_children ops store fields n
+      else
+        match (changed.(i), ops.inverse) with
+        | 0, _ -> old (* change cutoff: no child changed its field *)
+        | 1, Some inv ->
+            let c = last_changed.(i) in
+            delta ops inv store fields fr.nodes.(c) ~old_child:olds.(c)
+              ~new_child:news.(c) old
+        | _ -> fold_children ops store fields n
+    in
+    olds.(i) <- old;
+    news.(i) <- v;
+    if not (ops.equal old v) then begin
+      set fields n v;
+      let p = fr.parents.(i) in
+      if p >= 0 then begin
+        changed.(p) <- changed.(p) + 1;
+        last_changed.(p) <- i
+      end
+    end
+  done;
+  (* An unchanged absorbing node (reject) has no value before or after
+     the write, so typed indices have nothing to re-extract there — nor
+     at its ancestors, which are reject too. *)
+  let inert i =
+    match ops.absorbing with
+    | Some z -> ops.equal olds.(i) z && ops.equal news.(i) z
+    | None -> false
+  in
+  let changes = ref [] and touched = ref [] in
+  for i = count - 1 downto 0 do
+    let node = fr.nodes.(i) and level = fr.levels.(i) in
+    if not (ops.equal olds.(i) news.(i)) then
+      changes :=
+        { node; old_field = olds.(i); new_field = news.(i); level } :: !changes;
+    if not (inert i) then touched := (node, level) :: !touched
+  done;
+  { changes = !changes; touched = !touched }
+
+let update ops store fields ~texts ?structural () =
+  maintain ops store fields (frontier store ~texts ?structural ())

@@ -25,6 +25,14 @@ type 'f ops = {
   of_int : int -> 'f;
       (** every field kind is an int underneath; the column stores that
           int ([of_int (to_int f) = f]) *)
+  absorbing : 'f option;
+      (** an element [z] with [combine z x = z = combine x z] for every
+          [x] (the SCT's reject), if there is one: a fold that reaches it
+          stops *)
+  inverse : ('f -> 'f) option;
+      (** the group inverse, if [combine] has one (the hash): a parent
+          with one changed child is then updated by a delta instead of
+          a re-fold *)
 }
 
 val hash_ops : Hash.t ops
@@ -108,12 +116,49 @@ type 'f update_result = {
       (** nodes whose field actually changed, deepest first — drives
           posting-list repair *)
   touched : (Xvi_xml.Store.node * int) list;
-      (** every recomputed node (the updated leaves plus all recombined
-          ancestors) with its level, deepest first — a field can be
-          unchanged while the underlying value changed (e.g. replacing
-          the digits ["78"] by ["80"] preserves the SCT state), so typed
-          indices must re-extract values across the whole touched set *)
+      (** every frontier node with its level, deepest first, except
+          those whose field is the absorbing element both before and
+          after the write. A field can be unchanged while the underlying
+          value changed (e.g. replacing the digits ["78"] by ["80"]
+          preserves the SCT state), so typed indices must re-extract
+          values across the whole touched set; a node that stays reject
+          has no value to re-extract. *)
 }
+
+type frontier
+(** The dirty frontier of one write set (Figure 8): the written text and
+    attribute nodes, the structural parents, and every ancestor above
+    them, each with its level and the slot of its parent, deepest first.
+    It depends only on the tree's shape, so one frontier serves the
+    string index and every typed index of a write set. *)
+
+val frontier :
+  Xvi_xml.Store.t ->
+  texts:Xvi_xml.Store.node list ->
+  ?structural:Xvi_xml.Store.node list ->
+  unit ->
+  frontier
+(** [texts] are text or attribute nodes whose value changed — their
+    fields are recomputed from their new content; [structural] are
+    elements whose child list changed (subtree deleted or inserted
+    beneath them). Attribute values do not contribute to their element's
+    string value, so an attribute write adds no ancestor.
+    @raise Invalid_argument if a [texts] node is neither text nor
+    attribute. *)
+
+val maintain : 'f ops -> Xvi_xml.Store.t -> 'f fields -> frontier -> 'f update_result
+(** Figure 8 over a frontier: every affected ancestor is recombined
+    {e from its immediate children's fields}, bottom-up — the paper's
+    key point: no string data outside the updated nodes is ever re-read.
+    Only what can change is visited:
+    - an ancestor none of whose children changed its field keeps its
+      field and is not recombined (change cutoff);
+    - a fold stops once it reaches the absorbing element;
+    - with an inverse, an ancestor with exactly one changed child walks
+      the siblings outward from that child until either end, and
+      finishes with the group delta;
+    - structural parents, and ancestors with several changed children,
+      re-fold. *)
 
 val update :
   'f ops ->
@@ -123,12 +168,8 @@ val update :
   ?structural:Xvi_xml.Store.node list ->
   unit ->
   'f update_result
-(** Figure 8: [texts] are text or attribute nodes whose value changed —
-    their fields are recomputed from their new content; [structural]
-    are elements whose child list changed (subtree deleted or inserted
-    beneath them). Every affected ancestor is then recombined {e from
-    its immediate children's fields}, bottom-up — the paper's key point:
-    no string data outside the updated nodes is ever re-read. *)
+(** [maintain] over the frontier of [texts] and [structural], for one
+    index on its own. *)
 
 val compute_subtree :
   'f ops -> Xvi_xml.Store.t -> 'f fields -> Xvi_xml.Store.node -> unit

@@ -151,36 +151,27 @@ let apply_changes t changes =
       add_posting t new_field node)
     changes
 
-let update_texts t store nodes =
-  apply_changes t
-    (Indexer.update Indexer.hash_ops store t.fields ~texts:nodes ()).Indexer.changes
+let maintain t store fr =
+  apply_changes t (Indexer.maintain Indexer.hash_ops store t.fields fr).Indexer.changes
 
-let on_delete t store ~parent ~removed =
+let update_texts t store nodes = maintain t store (Indexer.frontier store ~texts:nodes ())
+
+let on_delete t store ~removed fr =
   List.iter
     (fun n ->
       (* Tombstoned nodes keep their last field; drop their postings. *)
       remove_posting t (Indexer.get t.fields n) n)
     removed;
-  apply_changes t
-    (Indexer.update Indexer.hash_ops store t.fields ~texts:[]
-       ~structural:[ parent ] ())
-      .Indexer.changes
+  maintain t store fr
 
-let on_insert t store ~roots =
+let on_insert t store ~roots fr =
   List.iter
     (fun root ->
       Indexer.compute_subtree Indexer.hash_ops store t.fields root;
       Store.iter_pre ~root store (fun n ->
           if indexable store n then add_posting t (Indexer.get t.fields n) n))
     roots;
-  let parents =
-    List.sort_uniq Int.compare
-      (List.filter_map (fun r -> Store.parent store r) roots)
-  in
-  apply_changes t
-    (Indexer.update Indexer.hash_ops store t.fields ~texts:[]
-       ~structural:parents ())
-      .Indexer.changes
+  maintain t store fr
 
 let snapshot t =
   {

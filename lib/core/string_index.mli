@@ -66,19 +66,27 @@ val estimate : t -> string -> int
 
 (** {1 Maintenance} *)
 
+val maintain : t -> Xvi_xml.Store.t -> Indexer.frontier -> unit
+(** Figure 8 over the frontier of a write set (built once and shared by
+    every index): the frontier's text and attribute nodes changed value
+    in the store; recompute their hashes, recombine the affected
+    ancestors from sibling hashes, and repair the postings of every node
+    whose hash changed. *)
+
 val update_texts : t -> Xvi_xml.Store.t -> node list -> unit
-(** Figure 8: the given text/attribute nodes' values changed in the
-    store; recompute their hashes and recombine all affected ancestors
-    from sibling hashes. *)
+(** {!maintain} over the frontier of the given text/attribute nodes. *)
 
-val on_delete : t -> Xvi_xml.Store.t -> parent:node -> removed:node list -> unit
-(** A subtree was deleted: [removed] are its (now tombstoned) nodes,
-    [parent] its former parent. Drops their postings and recombines
-    upward from [parent]. *)
+val on_delete :
+  t -> Xvi_xml.Store.t -> removed:node list -> Indexer.frontier -> unit
+(** A subtree was deleted: [removed] are its (now tombstoned) nodes, and
+    the frontier has its former parent as structural. Drops their
+    postings and recombines upward from the parent. *)
 
-val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
-(** Freshly inserted subtrees (all under the same parent): computes
-    fields for the new nodes and recombines upward. *)
+val on_insert :
+  t -> Xvi_xml.Store.t -> roots:node list -> Indexer.frontier -> unit
+(** Freshly inserted subtrees, with their parents as the frontier's
+    structural nodes: computes fields for the new nodes and recombines
+    upward. *)
 
 (** {1 Epochs and persistence} *)
 

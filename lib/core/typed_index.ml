@@ -279,10 +279,11 @@ let apply t store (res : int Indexer.update_result) =
         | None -> ())
     res.Indexer.touched
 
-let update_texts t store nodes =
-  apply t store (Indexer.update t.ops store t.fields ~texts:nodes ())
+let maintain t store fr = apply t store (Indexer.maintain t.ops store t.fields fr)
 
-let on_delete t store ~parent ~removed =
+let update_texts t store nodes = maintain t store (Indexer.frontier store ~texts:nodes ())
+
+let on_delete t store ~removed fr =
   List.iter
     (fun n ->
       if Sct.is_viable (sct t) (Indexer.get t.fields n) then
@@ -290,10 +291,9 @@ let on_delete t store ~parent ~removed =
       t.frags <- Int_map.remove n t.frags;
       remove_complete t n)
     removed;
-  apply t store
-    (Indexer.update t.ops store t.fields ~texts:[] ~structural:[ parent ] ())
+  maintain t store fr
 
-let on_insert t store ~roots =
+let on_insert t store ~roots fr =
   List.iter
     (fun root ->
       Indexer.compute_subtree t.ops store t.fields root;
@@ -305,11 +305,7 @@ let on_insert t store ~roots =
         (fun n -> register t store n (Indexer.get t.fields n))
         !nodes)
     roots;
-  let parents =
-    List.sort_uniq Int.compare (List.filter_map (Store.parent store) roots)
-  in
-  apply t store
-    (Indexer.update t.ops store t.fields ~texts:[] ~structural:parents ())
+  maintain t store fr
 
 let snapshot t =
   {

@@ -95,9 +95,18 @@ val estimate_range : ?lo:float -> ?hi:float -> t -> int
 
 (** {1 Maintenance} *)
 
+(** As {!String_index}'s: one {!Indexer.frontier} per write set, shared
+    by every index. Values are re-extracted across the whole touched
+    set, since a state can survive a value change. *)
+
+val maintain : t -> Xvi_xml.Store.t -> Indexer.frontier -> unit
 val update_texts : t -> Xvi_xml.Store.t -> node list -> unit
-val on_delete : t -> Xvi_xml.Store.t -> parent:node -> removed:node list -> unit
-val on_insert : t -> Xvi_xml.Store.t -> roots:node list -> unit
+
+val on_delete :
+  t -> Xvi_xml.Store.t -> removed:node list -> Indexer.frontier -> unit
+
+val on_insert :
+  t -> Xvi_xml.Store.t -> roots:node list -> Indexer.frontier -> unit
 
 (** {1 Epochs and persistence} *)
 

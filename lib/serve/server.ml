@@ -102,6 +102,7 @@ let stats_pairs t =
       ("last_lsn", string_of_int s.Engine.last_lsn);
       ("durable_lsn", string_of_int s.Engine.durable_lsn);
       ("txn_committed", string_of_int s.Engine.txn.Xvi_txn.Txn.committed);
+      ("txn_empty", string_of_int s.Engine.txn.Xvi_txn.Txn.empty);
       ("txn_conflicts", string_of_int s.Engine.txn.Xvi_txn.Txn.conflicts);
     ]
   in

@@ -12,6 +12,7 @@ type manager = {
   durability : durability option;
   mutable clock : int;
   mutable committed : int;
+  mutable empty : int;
   mutable aborted : int;
   mutable conflicts : int;
   mutable wal_synced : int;
@@ -20,6 +21,7 @@ type manager = {
 
 type stats = {
   committed : int;
+  empty : int;
   aborted : int;
   conflicts : int;
   wal_synced : int;
@@ -44,6 +46,7 @@ let manager ?durability db =
     durability;
     clock = 0;
     committed = 0;
+    empty = 0;
     aborted = 0;
     conflicts = 0;
     wal_synced = 0;
@@ -150,7 +153,10 @@ let commit_r t =
       Db.update_texts t.mgr.db updates;
       List.iter (fun (n, _) -> Hashtbl.replace t.mgr.versions n stamp) updates;
       t.status <- Committed;
-      t.mgr.committed <- t.mgr.committed + 1;
+      (* an empty write set reaches neither the log nor the indices, so
+         it is no commit for the durable layer either *)
+      if updates = [] then t.mgr.empty <- t.mgr.empty + 1
+      else t.mgr.committed <- t.mgr.committed + 1;
       (* Post-visibility hook: the durable layer checks its
          auto-checkpoint threshold here, once the database reflects the
          commit it would snapshot. *)
@@ -169,6 +175,7 @@ let abort t =
 let stats (mgr : manager) =
   {
     committed = mgr.committed;
+    empty = mgr.empty;
     aborted = mgr.aborted;
     conflicts = mgr.conflicts;
     wal_synced = mgr.wal_synced;

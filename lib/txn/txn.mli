@@ -101,7 +101,10 @@ val commit : t -> (unit, conflict) result
 val abort : t -> unit
 
 type stats = {
-  committed : int;
+  committed : int;  (** commits with a non-empty write set *)
+  empty : int;
+      (** commits with no writes: nothing logged, applied or published.
+          [committed + empty + aborted] is every finished transaction *)
   aborted : int;  (** conflict aborts and explicit {!abort}s together *)
   conflicts : int;  (** commit attempts lost to first-committer-wins *)
   wal_synced : int;

@@ -147,6 +147,242 @@ let test_update_equals_rebuild () =
     end
   done
 
+(* --- Figure 8 over one shared frontier, for all three field machines ---
+
+   A seeded trace of text, attribute and structural writes runs through
+   a [Db] (whose indices share one frontier per write set) and, over the
+   same store, through standalone fields of each machine maintained with
+   [Indexer.maintain]. After every step the fields must equal
+   [create_reference], the change records must be exact, and the [Db]
+   must validate and digest like a from-scratch rebuild. *)
+
+module Db = Xvi_core.Db
+module LT = Xvi_core.Lexical_types
+
+let wide = 320
+
+(* Wide parents: [<d>] holds digit texts (their concatenation is a
+   viable xs:double, so the SCT cutoff meets live states, not reject),
+   [<w>] holds word texts (the hash delta on a long sibling list), [<e>]
+   holds elements, and [<a>] carries attributes. Texts under one parent are kept apart by
+   comments so they stay distinct nodes. *)
+let wide_doc rng =
+  let b = Buffer.create 65536 in
+  let texts name gen =
+    Buffer.add_string b (Printf.sprintf "<%s>" name);
+    for i = 0 to wide - 1 do
+      if i > 0 then Buffer.add_string b "<!--s-->";
+      Buffer.add_string b (gen i)
+    done;
+    Buffer.add_string b (Printf.sprintf "</%s>" name)
+  in
+  Buffer.add_string b "<r>";
+  texts "d" (fun i -> string_of_int (i mod 10));
+  texts "w" (fun i -> Printf.sprintf "w%d" i);
+  Buffer.add_string b "<e>";
+  for i = 0 to wide - 1 do
+    Buffer.add_string b (Printf.sprintf "<v>%d.%d</v>" i (Prng.int rng 10))
+  done;
+  Buffer.add_string b "</e>";
+  Buffer.add_string b
+    "<a x=\"12\" y=\"abc\" t=\"2009-03-24T10:00:00\"><m>2009-03-24T10:00:00</m></a>";
+  Buffer.add_string b (random_doc rng);
+  Buffer.add_string b "</r>";
+  Buffer.contents b
+
+type step =
+  | Texts of (Store.node * string) list
+  | Insert of Store.node * string
+  | Delete of Store.node
+
+let machines store =
+  let sct spec =
+    let ops = Indexer.sct_ops spec.LT.sct in
+    Indexer.Packed (ops, Indexer.create ops store)
+  in
+  [
+    Indexer.Packed (Indexer.hash_ops, Indexer.create Indexer.hash_ops store);
+    sct (LT.double ());
+    sct (LT.datetime ());
+  ]
+
+let rec ancestors_or_self store n =
+  n
+  :: (match Store.parent store n with
+     | Some p -> ancestors_or_self store p
+     | None -> [])
+
+let check_result (type f) (ops : f Indexer.ops) store ~(before : f Indexer.fields)
+    (fields : f Indexer.fields) ~written (res : f Indexer.update_result) =
+  let what = ops.Indexer.field_name in
+  fields_agree ops store fields (Indexer.create_reference ops store);
+  let rec desc = function
+    | a :: (b :: _ as rest) ->
+        if a < b then Alcotest.failf "%s: levels not deepest first" what;
+        desc rest
+    | _ -> ()
+  in
+  desc (List.map (fun c -> c.Indexer.level) res.Indexer.changes);
+  desc (List.map snd res.Indexer.touched);
+  (* each change is stored, real, and the only way a field moved *)
+  let changed = Hashtbl.create 16 in
+  List.iter
+    (fun c ->
+      let n = c.Indexer.node in
+      if Hashtbl.mem changed n then Alcotest.failf "%s: node %d twice" what n;
+      Hashtbl.add changed n ();
+      if not (ops.Indexer.equal c.Indexer.new_field (Indexer.get fields n)) then
+        Alcotest.failf "%s: new field of %d not stored" what n;
+      if not (ops.Indexer.equal c.Indexer.old_field (Indexer.get before n)) then
+        Alcotest.failf "%s: old field of %d misreported" what n;
+      if ops.Indexer.equal c.Indexer.old_field c.Indexer.new_field then
+        Alcotest.failf "%s: unchanged node %d reported" what n;
+      if c.Indexer.level <> Store.level store n then
+        Alcotest.failf "%s: level of %d" what n)
+    res.Indexer.changes;
+  Store.iter_pre store (fun n ->
+      if
+        (not (Hashtbl.mem changed n))
+        && not (ops.Indexer.equal (Indexer.get before n) (Indexer.get fields n))
+      then Alcotest.failf "%s: node %d changed without a record" what n);
+  (* the touched rule: every written node and ancestor whose field is
+     not the absorbing element both before and after *)
+  let touched = Hashtbl.create 16 in
+  List.iter (fun (n, _) -> Hashtbl.replace touched n ()) res.Indexer.touched;
+  List.iter
+    (fun w ->
+      let chain =
+        if Store.kind store w = Store.Attribute then [ w ]
+        else ancestors_or_self store w
+      in
+      List.iter
+        (fun n ->
+          let inert =
+            match ops.Indexer.absorbing with
+            | Some z ->
+                ops.Indexer.equal (Indexer.get before n) z
+                && ops.Indexer.equal (Indexer.get fields n) z
+            | None -> false
+          in
+          if (not inert) && not (Hashtbl.mem touched n) then
+            Alcotest.failf "%s: node %d missing from touched" what n)
+        chain)
+    written
+
+let apply_step db packs step =
+  let store = Db.store db in
+  let written, structural, fresh =
+    match step with
+    | Texts updates ->
+        Db.update_texts db updates;
+        (List.map fst updates, [], [])
+    | Insert (parent, src) -> (
+        match Db.insert_xml db ~parent src with
+        | Ok roots -> ([], [ parent ], roots)
+        | Error e -> Alcotest.failf "insert: %s" (Parser.error_to_string e))
+    | Delete n ->
+        let parent = Option.get (Store.parent store n) in
+        Db.delete_subtree db n;
+        ([], [ parent ], [])
+  in
+  let fr = Indexer.frontier store ~texts:written ~structural () in
+  List.iter
+    (fun (Indexer.Packed (ops, fields)) ->
+      List.iter (Indexer.compute_subtree ops store fields) fresh;
+      let before = Indexer.snapshot fields in
+      let res = Indexer.maintain ops store fields fr in
+      check_result ops store ~before fields ~written:(written @ structural) res)
+    packs;
+  (match Db.validate db with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "Db.validate: %s" e);
+  Alcotest.(check string)
+    "digest = rebuild" (Db.digest (Db.of_store (Store.snapshot store)))
+    (Db.digest db)
+
+let element_named store name =
+  List.find
+    (fun n -> Store.kind store n = Store.Element && Store.name store n = name)
+    (Store.children store (Option.get (Store.first_child store Store.document)))
+
+let child_texts store e =
+  Array.of_list
+    (List.filter (fun c -> Store.kind store c = Store.Text) (Store.children store e))
+
+let test_update_property () =
+  for seed = 1 to 4 do
+    let rng = Prng.create (3000 + seed) in
+    let db =
+      match Db.of_xml (wide_doc rng) with
+      | Ok db -> db
+      | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
+    in
+    let store = Db.store db in
+    let packs = machines store in
+    let d = child_texts store (element_named store "d") in
+    let w = child_texts store (element_named store "w") in
+    let e = element_named store "e" in
+    let vs = Array.of_list (Store.children store e) in
+    let attrs = Array.of_list (Store.attributes store (element_named store "a")) in
+    let last = wide - 1 and mid = wide / 2 in
+    let v i = Option.get (Store.first_child store vs.(i)) in
+    let same_mod_27 s = s ^ String.make 27 'q' in
+    let steps =
+      [
+        (* one changed child, first / middle / last *)
+        Texts [ (d.(0), "7") ];
+        Texts [ (d.(mid), "3") ];
+        Texts [ (d.(last), "9") ];
+        Texts [ (w.(0), "first") ];
+        Texts [ (w.(mid + 1), "middle") ];
+        Texts [ (w.(last), "last") ];
+        Texts [ (v 0, "1.5") ];
+        Texts [ (v mid, "2.5") ];
+        Texts [ (v last, "3.5") ];
+        (* two changed children under one parent *)
+        Texts [ (d.(1), "4"); (d.(last - 1), "2") ];
+        Texts [ (w.(3), "x"); (w.(mid), "y") ];
+        (* a rewrite to the same text, and a same-length-mod-27 value *)
+        Texts [ (w.(7), Store.text store w.(7)) ];
+        Texts [ (d.(5), Store.text store d.(5)) ];
+        Texts [ (w.(9), same_mod_27 (Store.text store w.(9))) ];
+        (* castability flips both ways *)
+        Texts [ (d.(mid), "x") ];
+        Texts [ (d.(mid), "8") ];
+        Texts [ (v 3, "2009-03-24T10:00:00") ];
+        Texts [ (v 3, "12.75") ];
+        (* attribute writes *)
+        Texts [ (attrs.(0), "abc") ];
+        Texts [ (attrs.(1), "12") ];
+        Texts [ (attrs.(2), "2010-01-01T00:00:00"); (w.(11), "both") ];
+        (* structural insert and delete parents *)
+        Insert (e, "<v>42</v><v>4.2<z>x</z></v>");
+        Insert (element_named store "d", "17");
+        Delete vs.(mid);
+        Delete vs.(0);
+      ]
+    in
+    List.iter (apply_step db packs) steps;
+    (* and a random multi-write trace over the whole document *)
+    for _ = 1 to 8 do
+      let texts = Store.text_nodes store in
+      let k = 1 + Prng.int rng 12 in
+      let picks = Prng.sample_distinct rng k (Array.length texts) in
+      apply_step db packs
+        (Texts
+           (Array.to_list
+              (Array.map
+                 (fun i ->
+                   ( texts.(i),
+                     match Prng.int rng 4 with
+                     | 0 -> string_of_int (Prng.int rng 100)
+                     | 1 -> "2009-03-24T10:00:00"
+                     | 2 -> Store.text store texts.(i)
+                     | _ -> Printf.sprintf "t%d" (Prng.int rng 1000) ))
+                 picks)))
+    done
+  done
+
 let test_update_attribute_no_propagation () =
   let store = Parser.parse_exn "<a x=\"old\"><b>t</b></a>" in
   let fields = Indexer.create Indexer.hash_ops store in
@@ -225,6 +461,8 @@ let () =
       ( "update",
         [
           Alcotest.test_case "equals rebuild (random)" `Quick test_update_equals_rebuild;
+          Alcotest.test_case "shared frontier, three machines (property)" `Quick
+            test_update_property;
           Alcotest.test_case "attribute no propagation" `Quick
             test_update_attribute_no_propagation;
           Alcotest.test_case "touched covers state-stable value changes" `Quick

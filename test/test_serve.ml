@@ -1163,6 +1163,31 @@ let test_server_roundtrip () =
             Alcotest.fail "stats missing commits";
           cli "sync" (Client.sync c)))
 
+(* begin, a [set] refused as not a text node, commit: the commit is
+   empty, so the [stats] verb's transaction counter and the engine's
+   commit counter must both stay where they were. *)
+let test_server_empty_commit_counters () =
+  with_server small_xml (fun _engine socket ->
+      let c = connect_exn socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          cli "begin" (Client.begin_ c);
+          (match Client.set c Store.document "x" with
+          | Error _ -> ()
+          | Ok () -> Alcotest.fail "set on the document node accepted");
+          ignore (cli "commit" (Client.commit c) : int);
+          let st = cli "stats" (Client.stats c) in
+          let get k =
+            match List.assoc_opt k st with
+            | Some v -> int_of_string v
+            | None -> Alcotest.failf "stats missing %s" k
+          in
+          Alcotest.(check int) "no commit" 0 (get "commits");
+          Alcotest.(check int) "txn_committed = commits" (get "commits")
+            (get "txn_committed");
+          Alcotest.(check int) "one empty commit" 1 (get "txn_empty")))
+
 let test_server_conflict_and_quit () =
   with_server small_xml (fun engine socket ->
       let c1 = connect_exn socket in
@@ -1309,6 +1334,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "socket round trip" `Quick test_server_roundtrip;
+          Alcotest.test_case "empty commit counters agree" `Quick
+            test_server_empty_commit_counters;
           Alcotest.test_case "conflict across connections" `Quick
             test_server_conflict_and_quit;
           Alcotest.test_case "shutdown request" `Quick

@@ -180,6 +180,23 @@ let test_abort_and_finished_txns () =
   Alcotest.(check int) "explicit abort counted" 1 st.Txn.aborted;
   Alcotest.(check int) "explicit abort is not a conflict" 0 st.Txn.conflicts
 
+(* A commit whose only write was refused leaves an empty write set:
+   it is counted apart from the commits that reached the indices. *)
+let test_empty_commit_counted_apart () =
+  let db = fresh_db 27 in
+  let mgr = Txn.manager db in
+  let before = Db.digest db in
+  let t = Txn.begin_ mgr in
+  (match Txn.update_text t Store.document "x" with
+  | Error `Not_text -> ()
+  | _ -> Alcotest.fail "element write should report `Not_text");
+  ok (Txn.commit t);
+  let st = Txn.stats mgr in
+  Alcotest.(check int) "not a commit" 0 st.Txn.committed;
+  Alcotest.(check int) "an empty commit" 1 st.Txn.empty;
+  Alcotest.(check int) "not an abort" 0 st.Txn.aborted;
+  Alcotest.(check string) "nothing applied" before (Db.digest db)
+
 let test_structural_delete_conflicts () =
   (* Db.delete_subtree bypasses the version table; the commit-time kind
      re-check must catch a write whose node was tombstoned after
@@ -242,7 +259,7 @@ let test_stats_reconcile () =
     Alcotest.(check int) "aborted" !aborted st.Txn.aborted;
     Alcotest.(check int) "conflicts" !conflicts st.Txn.conflicts;
     Alcotest.(check int) "every transaction accounted for" n_txns
-      (st.Txn.committed + st.Txn.aborted);
+      (st.Txn.committed + st.Txn.empty + st.Txn.aborted);
     (* the finished transactions must refuse further writes *)
     Array.iter
       (fun t ->
@@ -268,5 +285,7 @@ let () =
           Alcotest.test_case "structural delete conflicts" `Quick
             test_structural_delete_conflicts;
           Alcotest.test_case "stats reconcile" `Quick test_stats_reconcile;
+          Alcotest.test_case "empty commit counted apart" `Quick
+            test_empty_commit_counted_apart;
         ] );
     ]
