@@ -1869,8 +1869,7 @@ let repl_bench () =
    typed keys, packed unboxed ints for postings) raced against the
    boxed-tuple trees they replaced, on real XMark data; the GC cost of
    building each; the store's off-heap/GC-heap split; a migration check
-   (query answers over a Codec round-trip of the store must be
-   identical); and the planner's cursor-vs-native per-element
+   (query answers over a snapshot save and load must be identical); and the planner's cursor-vs-native per-element
    calibration that sets the constants in [Xvi_query.Plan]. Results land
    in BENCH_storage.json. *)
 let storage_bench () =
@@ -2072,9 +2071,12 @@ let storage_bench () =
       ];
     ];
 
-  (* --- migration check: a Codec round-trip answers identically --- *)
-  let blob = Store.Codec.encode store in
-  let db2 = Db.of_store (Store.Codec.decode blob) in
+  (* --- migration check: a snapshot round-trip answers identically --- *)
+  let snap = Filename.temp_file "xvi_storage" ".snap" in
+  Xvi_core.Snapshot.save db snap;
+  let snap_bytes = (Unix.stat snap).Unix.st_size in
+  let db2 = Xvi_core.Snapshot.load_exn snap in
+  Sys.remove snap;
   let range = Db.Range.between 100.0 200.0 in
   let probes =
     [
@@ -2089,9 +2091,9 @@ let storage_bench () =
   in
   if not migration_ok then failwith "codec round-trip changed query answers";
   Printf.printf
-    "migration: %d probe queries identical over a %s codec round-trip\n"
+    "migration: %d probe queries identical over a %s snapshot round-trip\n"
     (List.length probes)
-    (Table.fmt_bytes (String.length blob));
+    (Table.fmt_bytes snap_bytes);
 
   (* --- planner calibration: the two [run_list] strategies for an
          all-leaf intersection on the production shape. The streaming
@@ -2312,7 +2314,7 @@ let ingest_bench () =
   (* --- streamed path (durable: every batch WAL-committed) --- *)
   let dir = Filename.temp_file "xvi_ingest_bench" ".dir" in
   Sys.remove dir;
-  let durable_digest, durable_ms =
+  let durable_digest, durable_ms, durable_stats, snapshot_bytes =
     let ic = open_in_bin path in
     let r, ms =
       Fun.protect
@@ -2325,9 +2327,14 @@ let ingest_bench () =
     | Error m -> failwith ("bulk_ingest: " ^ m)
     | Ok d ->
         let dg = Db.digest (Durable.db d) in
+        let st = Durable.stats d in
         Durable.close d;
-        (dg, ms)
+        (dg, ms, st, (Unix.stat (Durable.snapshot_path dir)).Unix.st_size)
   in
+  (* where the durable run's extra time goes: committing each batch's
+     chunk (append + fsync) and the final checkpoint's snapshot save *)
+  let chunk_log_ms = durable_stats.Durable.chunk_log_s *. 1000. in
+  let checkpoint_ms = durable_stats.Durable.checkpoint_s *. 1000. in
   let rec rm_rf p =
     if Sys.is_directory p then begin
       Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
@@ -2378,6 +2385,11 @@ let ingest_bench () =
       ];
     ];
   Printf.printf
+    "durable: %s committing %d chunks, %s in the final checkpoint (snapshot \
+     %s)\n"
+    (Table.fmt_ms chunk_log_ms) durable_stats.Durable.writer.Xvi_wal.Wal.Writer.commits
+    (Table.fmt_ms checkpoint_ms) (Table.fmt_bytes snapshot_bytes);
+  Printf.printf
     "bit-identical: %b; peak live heap during ingest is %.3fx the whole \
      path's peak (%s off-heap staging; end-to-end peaks with the finished \
      database included: %.2fx)\n"
@@ -2396,7 +2408,9 @@ let ingest_bench () =
       \  \"streamed\": { \"ms\": %.1f, \"mb_per_s\": %.2f, \
        \"peak_live_words\": %d, \"staging_peak_live_words\": %d, \
        \"staging_offheap_bytes\": %d, \"batches\": %d },\n\
-      \  \"durable\": { \"ms\": %.1f, \"mb_per_s\": %.2f },\n\
+      \  \"durable\": { \"ms\": %.1f, \"mb_per_s\": %.2f, \
+       \"chunk_log_ms\": %.1f, \"checkpoint_ms\": %.1f, \
+       \"snapshot_bytes\": %d },\n\
       \  \"bit_identical\": %b,\n\
       \  \"peak_ratio\": %.4f,\n\
       \  \"absolute_peak_ratio\": %.4f\n\
@@ -2404,7 +2418,8 @@ let ingest_bench () =
       factor bytes nodes whole_ms (mb_s whole_ms) whole_delta stream_ms
       (mb_s stream_ms) stream_delta staging_delta staging_offheap
       (!stream_batches + 1)
-      durable_ms (mb_s durable_ms) bit_identical ratio absolute_ratio
+      durable_ms (mb_s durable_ms) chunk_log_ms checkpoint_ms snapshot_bytes
+      bit_identical ratio absolute_ratio
   in
   let oc = open_out "BENCH_ingest.json" in
   output_string oc json;

@@ -79,11 +79,12 @@ let sweep ?(flips = 128) ?all_offsets ?truncations:trunc_cap db =
         lengths;
       write_file path pristine;
       (* byte flips: every offset when small, else evenly spaced plus
-         the whole header region (magic, fingerprint, length, digest) *)
+         the whole header region (magic line and section table: every
+         tag, length and digest) *)
       let offsets =
         if all_offsets then List.init size (fun i -> i)
         else begin
-          let header = min size 128 in
+          let header = min size (Snapshot.header_bytes db) in
           let spaced =
             List.init flips (fun i -> i * size / flips)
           in

@@ -178,7 +178,10 @@ let apply_op db op =
         (fun () ->
           Snapshot.save db path;
           match Snapshot.load path with
-          | Ok db' -> db'
+          | Ok db' ->
+              if not (String.equal (Db.digest db) (Db.digest db')) then
+                failf "snapshot roundtrip changed the logical state";
+              db'
           | Error e ->
               failf "snapshot roundtrip failed: %s" (Snapshot.error_to_string e))
   | Gen.Txn s ->

@@ -93,40 +93,6 @@ let of_xml ?config src =
 
 let of_xml_exn ?config src = of_store ?config (Parser.parse_exn src)
 
-(* The database splits into the off-heap columnar store and its
-   GC-heap "shell" (configuration plus the indexes). [Snapshot]
-   serialises the store through its raw columnar codec and marshals the
-   shell alongside. The shell holds each index's persisted image: index
-   columns at their logical length, not as whole off-heap pages. The
-   name index is not stored at all — it is one pass over the store, so
-   [reconstruct] rebuilds it. *)
-type shell = {
-  sh_config : Config.t;
-  sh_strings : String_index.image;
-  sh_typed : Typed_index.image list;
-  sh_substring : Substring_index.t option;
-}
-
-let deconstruct t =
-  ( t.store,
-    {
-      sh_config = t.config;
-      sh_strings = String_index.to_image t.strings;
-      sh_typed = List.map Typed_index.to_image t.typed;
-      sh_substring = t.substring;
-    } )
-
-let reconstruct store shell =
-  {
-    store;
-    config = shell.sh_config;
-    strings = String_index.of_image shell.sh_strings;
-    typed = List.map Typed_index.of_image shell.sh_typed;
-    substring = shell.sh_substring;
-    names = Name_index.create store;
-    plane = None;
-  }
-
 (* Epoch publication by structural sharing: the store and every index
    column are paged copy-on-write vectors and every index tree is a
    path-copying B+tree, so the copy is O(directories) and each side

@@ -63,8 +63,9 @@ val assemble :
   strings:String_index.t ->
   typed:Typed_index.t list ->
   t
-(** Assemble a database from components a streaming builder produced
-    ([Xvi_ingest]): [typed] must be in [config.types] order. The
+(** Assemble a database from components a streaming builder
+    ([Xvi_ingest]) or the snapshot decoder ({!Snapshot}) produced:
+    [typed] must be in [config.types] order. The
     store-derived parts ([Name_index], the optional substring index)
     are built here. When the components are identical to what the
     serial [of_store] pass builds, so is the database ({!digest}). *)
@@ -97,17 +98,6 @@ val digest : t -> string
     their copy history — marshalled bytes would differ with owner
     tokens. The crash, replication and
     concurrency sweeps compare states with it. *)
-
-type shell
-(** The GC-heap half of a database: configuration plus every index's
-    persisted image ({!String_index.image}, {!Typed_index.image}) —
-    everything except the off-heap columnar store. Index columns are
-    held at their logical length; the name index is rebuilt from the
-    store by {!reconstruct}. Marshals with closures; {!Snapshot}
-    persists it alongside the store's raw columnar blob. *)
-
-val deconstruct : t -> Xvi_xml.Store.t * shell
-val reconstruct : Xvi_xml.Store.t -> shell -> t
 
 val store : t -> Xvi_xml.Store.t
 

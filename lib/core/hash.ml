@@ -11,10 +11,10 @@ let rotl27 x k =
 (* Figure 2. The c-array is kept in the low 27 bits during the loop and
    packed above the offc field at the end. Masking after each XOR plays
    the role of the 32-bit overflow in the paper's C code. *)
-let hash s =
+let hash_sub s off len =
   let carr = ref 0 in
   let offset = ref 0 in
-  for i = 0 to String.length s - 1 do
+  for i = off to off + len - 1 do
     let c = Char.code (String.unsafe_get s i) land 127 in
     carr := !carr lxor (c lsl !offset);
     if !offset > 20 then carr := !carr lxor (c lsr (27 - !offset));
@@ -23,6 +23,8 @@ let hash s =
     if !offset > 26 then offset := !offset - 27
   done;
   (!carr lsl 5) lor !offset
+
+let hash s = hash_sub s 0 (String.length s)
 
 let c_array h = (h lsr 5) land mask27
 let offset h = h land 31

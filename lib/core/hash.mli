@@ -33,6 +33,10 @@ val hash : string -> t
 (** The paper's [H] (Figure 2). Characters contribute their 7 low bits
     (ASCII, or UTF-8 bytes masked to 7 bits, per the paper's footnote). *)
 
+val hash_sub : string -> int -> int -> t
+(** [hash_sub s off len] is [hash (String.sub s off len)], without the
+    copy. *)
+
 val combine : t -> t -> t
 (** The paper's [C] (Figure 4): [combine (hash a) (hash b) = hash (a ^ b)]. *)
 

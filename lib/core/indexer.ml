@@ -5,6 +5,7 @@ module Vec = Xvi_util.Vec
 type 'f ops = {
   field_name : string;
   of_text : string -> 'f;
+  of_sub : string -> int -> int -> 'f;
   combine : 'f -> 'f -> 'f;
   identity : 'f;
   equal : 'f -> 'f -> bool;
@@ -18,6 +19,7 @@ let hash_ops =
   {
     field_name = "hash";
     of_text = Hash.hash;
+    of_sub = Hash.hash_sub;
     combine = Hash.combine;
     identity = Hash.empty;
     equal = Hash.equal;
@@ -31,6 +33,7 @@ let sct_ops sct =
   {
     field_name = "state:" ^ Dfa.name (Sct.dfa sct);
     of_text = Sct.of_string sct;
+    of_sub = Sct.of_substring sct;
     combine = Sct.compose sct;
     identity = Sct.identity sct;
     equal = Int.equal;
@@ -59,9 +62,6 @@ let set f n v =
   Bigvec.Int.set f.col n (f.fops.to_int v)
 
 let snapshot f = { f with col = Bigvec.Int.snapshot f.col }
-let export f = Bigvec.Int.to_array f.col
-
-let import ops a = { col = Bigvec.Int.of_array a; fops = ops }
 
 (* Combine the fields of [n]'s live children in document order, walking
    sibling links directly (no list allocation — this is the inner loop
@@ -335,6 +335,59 @@ let create_reference ops store =
   let fields = empty_fields ops in
   compute_subtree ops store fields Store.document;
   fields
+
+(* --- fields of a loaded store ---
+
+   A node is always appended after its parent, so every child's id is
+   above its parent's: one pass in descending id order meets all of a
+   node's children before the node. Each element then folds its
+   children's finished fields (the [create_reference] definition)
+   without Figure 7's traversal, and every column is filled in the same
+   pass, reading each text once. *)
+let fill store packs =
+  (* per column: a text's field, and an element's from its children *)
+  let columns =
+    List.map
+      (fun (Packed (ops, fields)) ->
+        let stop =
+          match ops.absorbing with
+          | Some z -> fun acc -> ops.equal acc z
+          | None -> fun _ -> false
+        in
+        ( (fun n arena off len -> set fields n (ops.of_sub arena off len)),
+          fun n kids nkids ->
+            (* as [fold_children]: the absorbing element ends a fold *)
+            let acc = ref ops.identity and i = ref 0 in
+            while !i < nkids && not (stop !acc) do
+              acc := ops.combine !acc (get fields kids.(!i));
+              incr i
+            done;
+            set fields n !acc ))
+      packs
+  in
+  (* every text is a slice of one copy of the arena: no string per text *)
+  let arena = Store.text_arena store in
+  let kids = ref (Array.make 64 0) and nkids = ref 0 in
+  for n = Store.node_range store - 1 downto 0 do
+    match Store.kind store n with
+    | Store.Deleted | Store.Comment | Store.Pi -> ()
+    | Store.Text | Store.Attribute ->
+        let off, len = Store.text_span store n in
+        List.iter (fun (of_slice, _) -> of_slice n arena off len) columns
+    | Store.Element | Store.Document ->
+        nkids := 0;
+        let rec collect = function
+          | None -> ()
+          | Some c ->
+              if !nkids = Array.length !kids then
+                kids := Array.append !kids (Array.make !nkids 0);
+              !kids.(!nkids) <- c;
+              incr nkids;
+              collect (Store.next_sibling store c)
+        in
+        collect (Store.first_child store n);
+        List.iter (fun (_, of_kids) -> of_kids n !kids !nkids) columns
+  done
 
 (* --- Figure 8: updates --- *)
 

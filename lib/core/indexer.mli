@@ -18,6 +18,8 @@
 type 'f ops = {
   field_name : string;  (** for diagnostics, e.g. ["hash"] *)
   of_text : string -> 'f;  (** [H] or the FSM run *)
+  of_sub : string -> int -> int -> 'f;
+      (** [of_sub s off len = of_text (String.sub s off len)] *)
   combine : 'f -> 'f -> 'f;  (** [C] or the SCT probe *)
   identity : 'f;
   equal : 'f -> 'f -> bool;
@@ -48,12 +50,6 @@ type 'f fields
 val snapshot : 'f fields -> 'f fields
 (** O(directories) logical copy; both sides clone a shared page on
     their next write to it. *)
-
-val export : 'f fields -> int array
-(** The column at its logical length — the persisted form. *)
-
-val import : 'f ops -> int array -> 'f fields
-(** Inverse of {!export}. *)
 
 val get : 'f fields -> Xvi_xml.Store.node -> 'f
 (** Nodes never assigned (e.g. childless elements) read as the
@@ -176,3 +172,11 @@ val compute_subtree :
 (** Recursively (re)compute fields for a freshly inserted subtree
     (its nodes have no valid fields yet); does not touch ancestors —
     pass the subtree root's parent as [structural] to {!update}. *)
+
+val fill : Xvi_xml.Store.t -> packed list -> unit
+(** Fill empty field stores ({!empty_fields}) with every live node's
+    field, all in one pass in descending id order — the way a loaded
+    snapshot gets its fields. It relies on every child's id being above
+    its parent's, which holds for every store (a node is appended after
+    its parent) and which {!Xvi_xml.Store.decode} checks. Equal to
+    {!create} node for node, without Figure 7's traversal. *)

@@ -420,5 +420,17 @@ let decimal () = Lazy.force decimal_spec
 let date () = Lazy.force date_spec
 let time () = Lazy.force time_spec
 
-let all () =
-  [ double (); integer (); boolean (); datetime (); decimal (); date (); time () ]
+(* by name, so [of_name] derives only the SCT it returns *)
+let registry =
+  [
+    ("xs:double", double_spec);
+    ("xs:integer", integer_spec);
+    ("xs:boolean", boolean_spec);
+    ("xs:dateTime", datetime_spec);
+    ("xs:decimal", decimal_spec);
+    ("xs:date", date_spec);
+    ("xs:time", time_spec);
+  ]
+
+let all () = List.map (fun (_, spec) -> Lazy.force spec) registry
+let of_name name = Option.map Lazy.force (List.assoc_opt name registry)

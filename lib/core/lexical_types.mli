@@ -15,7 +15,7 @@
     and an optional exponent. The special values INF/-INF/NaN are not in
     Figure 5 and are likewise omitted here. *)
 
-type spec = {
+type spec = private {
   type_name : string;  (** e.g. ["xs:double"] *)
   sct : Sct.t;
   parse : string -> float option;
@@ -44,7 +44,12 @@ val time : unit -> spec
 
 val all : unit -> spec list
 (** All seven specs. Memoized, like each individual accessor —
-    deriving an SCT is not free. *)
+    deriving an SCT is not free. [spec] is private, so every spec is
+    one of these seven and is named by its [type_name]. *)
+
+val of_name : string -> spec option
+(** The spec whose [type_name] this is, e.g. ["xs:double"]; derives
+    only that spec's SCT. *)
 
 val days_from_civil : year:int -> month:int -> day:int -> int
 (** Days since 1970-01-01 in the proleptic Gregorian calendar (Howard

@@ -11,14 +11,30 @@ let pack id n = (id lsl 30) lor n
 
 type t = { postings : unit BT.t }
 
+(* Every live node is in the tree, so a scan in id order finds the same
+   elements as a document walk — already in node order within each
+   name, so a counting sort by name id yields the key order. *)
 let create store =
-  let keys = Xvi_util.Vec.Int.create ~capacity:1024 () in
-  Store.iter_pre store (fun n ->
-      if Store.kind store n = Store.Element then
-        Xvi_util.Vec.Int.push keys (pack (Store.name_id store n) n));
-  let keys = Xvi_util.Vec.Int.to_array keys in
-  Array.sort Int.compare keys;
-  { postings = BT.of_sorted_array (Array.map (fun k -> (k, ())) keys) }
+  let range = Store.node_range store in
+  let starts = Array.make (Xvi_xml.Name_pool.count (Store.names store) + 1) 0 in
+  for n = 0 to range - 1 do
+    if Store.kind store n = Store.Element then begin
+      let id = Store.name_id store n in
+      starts.(id + 1) <- starts.(id + 1) + 1
+    end
+  done;
+  for id = 1 to Array.length starts - 1 do
+    starts.(id) <- starts.(id) + starts.(id - 1)
+  done;
+  let keys = Array.make starts.(Array.length starts - 1) (0, ()) in
+  for n = 0 to range - 1 do
+    if Store.kind store n = Store.Element then begin
+      let id = Store.name_id store n in
+      keys.(starts.(id)) <- (pack id n, ());
+      starts.(id) <- starts.(id) + 1
+    end
+  done;
+  { postings = BT.of_sorted_array keys }
 
 let snapshot t = { postings = BT.snapshot t.postings }
 

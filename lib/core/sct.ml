@@ -1,14 +1,9 @@
 type t = {
   dfa : Dfa.t;
-  domain : int array; (* reachable DFA states *)
-  didx_start : int; (* index of the DFA start state in [domain] *)
-  co : bool array; (* co-accessibility per domain index *)
-  gens : int array array; (* class -> domain idx -> domain idx *)
   size : int; (* elements incl. reject *)
   identity : int;
-  by_key : (bytes, int) Hashtbl.t; (* function encoding -> element id *)
-  funcs : int array array; (* element id (>=1) -> function; funcs.(0) unused *)
   compose_tbl : int array; (* size * size, flattened *)
+  class_elt : int array; (* char class -> element of a one-char string *)
   accepting : bool array;
   dfa_state : int array;
   witness : string array;
@@ -112,6 +107,7 @@ let of_dfa ?(max_elements = 4096) dfa =
       compose_tbl.((i * size) + j) <- lookup fn
     done
   done;
+  let class_elt = Array.init n_classes (fun cls -> lookup gens.(cls)) in
   let accepting = Array.make size false in
   let dfa_state = Array.make size (Dfa.sink dfa) in
   for i = 1 to size - 1 do
@@ -121,15 +117,10 @@ let of_dfa ?(max_elements = 4096) dfa =
   done;
   {
     dfa;
-    domain;
-    didx_start;
-    co;
-    gens;
     size;
     identity;
-    by_key;
-    funcs = funcs_arr;
     compose_tbl;
+    class_elt;
     accepting;
     dfa_state;
     witness;
@@ -140,29 +131,20 @@ let size t = t.size
 let identity t = t.identity
 let reject _ = reject_id
 
-let of_string t s =
-  let dn = Array.length t.domain in
-  let cur = Array.init dn (fun i -> i) in
-  let len = String.length s in
-  let i = ref 0 in
-  let alive = ref true in
-  while !alive && !i < len do
-    let cls = Dfa.class_of_char t.dfa s.[!i] in
-    let gen = t.gens.(cls) in
-    let any = ref false in
-    for j = 0 to dn - 1 do
-      let v = gen.(cur.(j)) in
-      cur.(j) <- v;
-      if t.co.(v) then any := true
-    done;
-    if not !any then alive := false;
+(* A string's element is the product of its characters' elements (the
+   SCT is a monoid homomorphism of concatenation), so one table probe
+   per character suffices; reject absorbs, so the fold stops there. *)
+let of_substring t s off len =
+  let st = ref t.identity and i = ref off in
+  let stop = off + len in
+  while !st <> reject_id && !i < stop do
+    let c = t.class_elt.(Dfa.class_of_char t.dfa (String.unsafe_get s !i)) in
+    st := t.compose_tbl.((!st * t.size) + c);
     incr i
   done;
-  if not !alive then reject_id
-  else
-    match Hashtbl.find_opt t.by_key (encode cur) with
-    | Some id -> id
-    | None -> assert false
+  !st
+
+let of_string t s = of_substring t s 0 (String.length s)
 
 let compose t i j = t.compose_tbl.((i * t.size) + j)
 let is_viable _ id = id <> reject_id

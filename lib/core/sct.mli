@@ -51,6 +51,10 @@ val of_string : t -> string -> int
     early exit to {!reject} (the common case on prose text — the paper's
     "majority of all text nodes ... will be rejected immediately"). *)
 
+val of_substring : t -> string -> int -> int -> int
+(** [of_substring t s off len] is [of_string t (String.sub s off len)],
+    without the copy. *)
+
 val compose : t -> int -> int -> int
 (** The SCT probe: [compose t (of_string t u) (of_string t v) =
     of_string t (u ^ v)]. O(1). *)

@@ -180,17 +180,41 @@ let snapshot t =
     entries = t.entries;
   }
 
-type image = { i_fields : int array; i_postings : unit BT.t; i_entries : int }
+(* Snapshot section: the postings as node ids in key order. The hash
+   column is not stored: a load computes it from the store
+   ([Indexer.fill]), which costs what checking a stored copy would. The
+   posting set is exactly [{pack (field n) n | n indexable}], so the ids
+   only spare the load a sort, and checking them for strict key ascent
+   and count proves them that set. *)
+module Codec = Xvi_util.Codec
 
-let to_image t =
-  { i_fields = Indexer.export t.fields; i_postings = t.postings; i_entries = t.entries }
+let encode t sink =
+  Codec.Sink.varint sink t.entries;
+  BT.iter (fun k () -> Codec.Sink.varint sink (k land node_mask)) t.postings
 
-let of_image i =
-  {
-    fields = Indexer.import Indexer.hash_ops i.i_fields;
-    postings = i.i_postings;
-    entries = i.i_entries;
-  }
+let decode store fields src =
+  let count = Codec.Source.varint src in
+  (* the ids come in hash order, i.e. scattered: look kinds up in a
+     byte map made in one sequential pass rather than in the store *)
+  let range = Store.node_range store in
+  let indexed = Bytes.make range '\000' and nindexed = ref 0 in
+  for n = 0 to range - 1 do
+    if indexable store n then begin
+      Bytes.unsafe_set indexed n '\001';
+      incr nindexed
+    end
+  done;
+  if count <> !nindexed then
+    Codec.malformed "%d postings for %d indexed nodes" count !nindexed;
+  let prev = ref (-1) in
+  of_key_seq fields ~count (fun () ->
+      let n = Codec.Source.varint src in
+      if n >= range || Bytes.get indexed n = '\000' then
+        Codec.malformed "posting for node %d, which is not indexed" n;
+      let k = pack (Hash.to_int (Indexer.get fields n)) n in
+      if k <= !prev then Codec.malformed "postings out of key order at node %d" n;
+      prev := k;
+      k)
 
 let add_int b i = Buffer.add_int64_le b (Int64.of_int i)
 

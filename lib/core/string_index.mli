@@ -95,12 +95,16 @@ val snapshot : t -> t
     path-copied and the hash column page-cloned on the next write to
     either side. *)
 
-type image
-(** Marshal-safe persisted form: the hash column at its logical length
-    plus the posting tree. *)
+val encode : t -> Xvi_util.Codec.Sink.t -> unit
+(** The snapshot section: the posting node ids in key order. *)
 
-val to_image : t -> image
-val of_image : image -> t
+val decode :
+  Xvi_xml.Store.t -> Hash.t Indexer.fields -> Xvi_util.Codec.Source.t -> t
+(** Inverse of {!encode} over the store it indexes and that store's
+    hash fields ({!Indexer.fill}), which the index takes over. The
+    postings must be every indexed node exactly once, in strictly
+    ascending key order, so the result equals {!create}.
+    @raise Xvi_util.Codec.Malformed otherwise. *)
 
 val digest : t -> Xvi_xml.Store.t -> string
 (** Logical digest: the sorted postings and the hash of every live

@@ -27,13 +27,12 @@ type t = {
   mutable viable_count : int;
 }
 
-let make ?(reconstruct = `Document) ?(viable_count = 0) ?(values = BT.create ())
-    spec fields =
+let make ?(reconstruct = `Document) ?(viable_count = 0) spec fields =
   {
     spec;
     ops = Indexer.sct_ops spec.Lexical_types.sct;
     fields;
-    values;
+    values = BT.create ();
     keys = Bigvec.Float.create ();
     present = Bigvec.Byte.create ();
     frags = Int_map.empty;
@@ -316,40 +315,77 @@ let snapshot t =
     present = Bigvec.Byte.snapshot t.present;
   }
 
-(* Persisted form: the state column at its logical length, the value
-   tree, and the scalars. The key columns are not stored — every
-   complete node's key is in its value-tree entry, so [of_image] reads
-   them back out of the tree. *)
-type image = {
-  i_spec : Lexical_types.spec;
-  i_fields : int array;
-  i_values : unit BT.t;
-  i_frags : string Int_map.t;
-  i_reconstruct : reconstruct;
-  i_viable_count : int;
-}
+(* Snapshot section: type name, reconstruct mode, then the value entries
+   in key order as (node, the 8 order-preserving float bytes of the
+   key). The states are not stored: a load computes them from the store
+   ([Indexer.fill]), and the viable count, the key columns and the
+   fragment map follow from them and the store. The entries spare the
+   load a sort; each is checked against its node's parsed value. *)
+module Codec = Xvi_util.Codec
 
-let to_image t =
-  {
-    i_spec = t.spec;
-    i_fields = Indexer.export t.fields;
-    i_values = t.values;
-    i_frags = t.frags;
-    i_reconstruct = t.reconstruct;
-    i_viable_count = t.viable_count;
-  }
-
-let of_image i =
-  let t =
-    make ~reconstruct:i.i_reconstruct ~viable_count:i.i_viable_count
-      ~values:i.i_values i.i_spec
-      (Indexer.import (Indexer.sct_ops i.i_spec.Lexical_types.sct) i.i_fields)
-  in
-  t.frags <- i.i_frags;
+let encode t sink =
+  Codec.Sink.string sink (type_name t);
+  Codec.Sink.byte sink (match t.reconstruct with `Document -> 0 | `Fragment -> 1);
+  Codec.Sink.varint sink (BT.length t.values);
   BT.iter
-    (fun k () -> set_key t (Enc.decode_int k 8) (Enc.decode_float k 0))
-    t.values;
-  t
+    (fun k () ->
+      Codec.Sink.varint sink (Enc.decode_int k 8);
+      Codec.Sink.bytes sink k 0 8)
+    t.values
+
+let decode store spec fields src =
+  let name = Codec.Source.string src in
+  if not (String.equal name spec.Lexical_types.type_name) then
+    Codec.malformed "typed section for %S where %s was expected" name
+      spec.Lexical_types.type_name;
+  let reconstruct =
+    match Codec.Source.byte src with
+    | 0 -> `Document
+    | 1 -> `Fragment
+    | b -> Codec.malformed "unknown reconstruct mode %d" b
+  in
+  let sct_ = spec.Lexical_types.sct in
+  let t = make ~reconstruct spec fields in
+  let complete = ref 0 in
+  for n = 0 to Store.node_range store - 1 do
+    if indexable store n then begin
+      let state = Indexer.get fields n in
+      if Sct.is_viable sct_ state then begin
+        t.viable_count <- t.viable_count + 1;
+        if reconstruct = `Fragment then
+          t.frags <- Int_map.add n (Store.string_value store n) t.frags;
+        if Sct.is_accepting sct_ state then
+          match spec.Lexical_types.parse (Store.string_value store n) with
+          | Some v ->
+              set_key t n v;
+              incr complete
+          | None -> ()
+      end
+    end
+  done;
+  let count = Codec.Source.varint src in
+  if count <> !complete then
+    Codec.malformed "%s: %d value entries for %d complete nodes" name count
+      !complete;
+  let prev = ref "" in
+  let pairs =
+    Array.init count (fun _ ->
+        let n = Codec.Source.varint src in
+        (* the key the entry must hold: from the node's parsed value *)
+        let key =
+          match if n < Store.node_range store then value_of t n else None with
+          | Some v -> Enc.float_int_key v n
+          | None -> Codec.malformed "%s: value entry for incomplete node %d" name n
+        in
+        Codec.Source.raw src 8 (fun s off _ ->
+            if not (String.equal (String.sub s off 8) (String.sub key 0 8)) then
+              Codec.malformed "%s: value entry for node %d disagrees" name n);
+        if String.compare key !prev <= 0 then
+          Codec.malformed "%s: value entries out of key order" name;
+        prev := key;
+        (key, ()))
+  in
+  { t with values = BT.of_sorted_array pairs }
 
 let digest t store =
   let b = Buffer.create 4096 in

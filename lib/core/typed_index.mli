@@ -115,13 +115,24 @@ val snapshot : t -> t
     path-copied, and the state and key columns page-cloned, on the next
     write to either side. *)
 
-type image
-(** Marshal-safe persisted form: the state column at its logical length,
-    the value tree and the counters. The node-to-key columns are rebuilt
-    from the value tree on {!of_image}. *)
+val encode : t -> Xvi_util.Codec.Sink.t -> unit
+(** The snapshot section: type name, reconstruct mode and the value
+    entries in key order. *)
 
-val to_image : t -> image
-val of_image : image -> t
+val decode :
+  Xvi_xml.Store.t ->
+  Lexical_types.spec ->
+  int Indexer.fields ->
+  Xvi_util.Codec.Source.t ->
+  t
+(** Inverse of {!encode} over the store it indexes and that store's
+    state fields for [spec] ({!Indexer.fill}), which the index takes
+    over. The section must be for [spec], and the value entries must be
+    exactly the complete nodes with their parsed values, in strictly
+    ascending key order, so the result equals {!create}. The viable
+    count and, for a [`Fragment] index, the fragment map are rebuilt
+    from the states and the store.
+    @raise Xvi_util.Codec.Malformed otherwise. *)
 
 val digest : t -> Xvi_xml.Store.t -> string
 (** Logical digest: the sorted value-tree keys, the viable count, and

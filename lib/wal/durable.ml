@@ -27,6 +27,9 @@ type t = {
       (** committed ingest chunks (in log order, total bytes) awaiting
           {!resume_ingest}; [db] is the pre-ingest state while set *)
   mutable closed : bool;
+  mutable chunk_log_s : float;
+      (** wall time committing bulk-ingest chunks: append, commit, fsync *)
+  mutable checkpoint_s : float;  (** wall time of the last checkpoint *)
 }
 
 let db t = t.db
@@ -67,9 +70,11 @@ let checkpoint t =
      leaves a snapshot at LSN [base] plus a log of records <= base,
      which replay filters out: both orders of the crash are safe, only
      this order also keeps the log from lying about uncommitted data. *)
+  let t0 = Xvi_util.Timing.now_s () in
   Snapshot.save ~lsn:base t.db (snapshot_path t.dir);
   Wal.Writer.truncate_to_checkpoint t.writer ~base;
-  t.last_checkpoint_lsn <- base
+  t.last_checkpoint_lsn <- base;
+  t.checkpoint_s <- Xvi_util.Timing.now_s () -. t0
 
 let maybe_auto_checkpoint t =
   match t.auto_checkpoint with
@@ -182,6 +187,8 @@ let make ?auto_checkpoint_bytes ~dir ~db ~writer ~last_checkpoint_lsn
     last_replay;
     pending = None;
     closed = false;
+    chunk_log_s = 0.;
+    checkpoint_s = 0.;
   }
 
 let create ?(sync_mode = Wal.Always) ?auto_checkpoint_bytes ?(force = false)
@@ -420,12 +427,14 @@ let pending_ingest t =
       Some { chunks = List.length cs; chunk_bytes }
 
 let log_chunk t bytes =
+  let t0 = Xvi_util.Timing.now_s () in
   let txn = fresh_txn t in
   ignore (Wal.Writer.append t.writer (Wal.Begin { txn }) : Wal.lsn);
   ignore
     (Wal.Writer.append t.writer (Wal.Ingest_chunk { txn; bytes }) : Wal.lsn);
   ignore
-    (Wal.Writer.log_commit t.writer ~txn : Wal.lsn * [ `Synced | `Deferred ])
+    (Wal.Writer.log_commit t.writer ~txn : Wal.lsn * [ `Synced | `Deferred ]);
+  t.chunk_log_s <- t.chunk_log_s +. (Xvi_util.Timing.now_s () -. t0)
 
 (* Drive [source] through the streaming builder, committing a chunk at
    every batch edge. [prelogged] chunks are already durable: they are
@@ -535,6 +544,8 @@ type stats = {
   next_lsn : Wal.lsn;
   last_checkpoint_lsn : Wal.lsn;
   writer : Wal.Writer.stats;
+  chunk_log_s : float;
+  checkpoint_s : float;
 }
 
 let stats (t : t) =
@@ -543,6 +554,8 @@ let stats (t : t) =
     next_lsn = Wal.Writer.next_lsn t.writer;
     last_checkpoint_lsn = t.last_checkpoint_lsn;
     writer = Wal.Writer.stats t.writer;
+    chunk_log_s = t.chunk_log_s;
+    checkpoint_s = t.checkpoint_s;
   }
 
 let close t =

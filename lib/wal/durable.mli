@@ -190,6 +190,12 @@ type stats = {
   next_lsn : Wal.lsn;
   last_checkpoint_lsn : Wal.lsn;
   writer : Wal.Writer.stats;
+  chunk_log_s : float;
+      (** wall seconds this handle spent committing bulk-ingest chunks
+          (append, commit record, fsync) *)
+  checkpoint_s : float;
+      (** wall seconds of this handle's last checkpoint (snapshot save
+          and log truncation); [0.] before the first *)
 }
 
 val stats : t -> stats

@@ -33,18 +33,25 @@ let build store =
     node_of_pre.{my_pre} <- n;
     pre_of_node.{n} <- my_pre;
     levels.{my_pre} <- lvl;
-    List.iter
-      (fun a ->
-        let p = !next in
-        incr next;
-        node_of_pre.{p} <- a;
-        pre_of_node.{a} <- p;
-        levels.{p} <- lvl + 1;
-        sizes.{p} <- 0)
-      (Store.attributes store n);
-    List.iter
-      (fun c -> if Store.is_live store c then walk c (lvl + 1))
-      (Store.children store n);
+    let rec attrs = function
+      | None -> ()
+      | Some a ->
+          let p = !next in
+          incr next;
+          node_of_pre.{p} <- a;
+          pre_of_node.{a} <- p;
+          levels.{p} <- lvl + 1;
+          sizes.{p} <- 0;
+          attrs (Store.next_attribute store a)
+    in
+    attrs (Store.first_attribute store n);
+    let rec kids = function
+      | None -> ()
+      | Some c ->
+          if Store.is_live store c then walk c (lvl + 1);
+          kids (Store.next_sibling store c)
+    in
+    kids (Store.first_child store n);
     sizes.{my_pre} <- !next - my_pre - 1
   in
   walk Store.document 0;

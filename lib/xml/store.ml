@@ -146,8 +146,10 @@ let name t n =
 let names t = t.pool
 
 let text t n =
-  check_kind t n [ Text; Attribute; Comment; Pi ] "text";
-  get_text t n
+  match kind t n with
+  | Text | Attribute | Comment | Pi -> get_text t n
+  | Document | Element | Deleted ->
+      invalid_arg (Printf.sprintf "Store.text: node %d has the wrong kind" n)
 
 let opt v = if v = nil then None else Some v
 let parent t n = opt (Bv.Int.get t.parents n)
@@ -341,6 +343,13 @@ let string_value t n =
   match kind t n with
   | Text | Attribute | Comment | Pi -> get_text t n
   | Deleted -> ""
+  | Document | Element when
+      (* the common leaf element: one text child is the whole value *)
+      let c = Bv.Int.get t.first_childs n in
+      c <> nil
+      && Bv.Int.get t.next_sibs c = nil
+      && kind t c = Text ->
+      get_text t (Bv.Int.get t.first_childs n)
   | Document | Element ->
       let buf = Buffer.create 64 in
       let rec walk c =
@@ -448,6 +457,14 @@ let insert_text t ~parent ?before txt =
   id
 
 let text_bytes t = t.live_text_bytes
+let text_arena t = Bv.Byte.sub_string t.arena 0 (Bv.Byte.length t.arena)
+
+let text_span t n =
+  match kind t n with
+  | Text | Attribute | Comment | Pi ->
+      (Bv.Int.get t.text_offs n, Bv.Int.get t.text_lens n)
+  | Document | Element | Deleted ->
+      invalid_arg (Printf.sprintf "Store.text_span: node %d has the wrong kind" n)
 
 let offheap_bytes t =
   Bv.Int.memory_bytes t.kinds + Bv.Int.memory_bytes t.names
@@ -531,105 +548,218 @@ let pre_size_level t =
       out := (n, size, lvl) :: !out);
   Array.of_list (List.rev !out)
 
-module Codec = struct
-  (* Raw columnar blob: fixed-width u64 LE fields and column contents,
-     then the arena bytes. The snapshot layer digest-frames the blob, so
-     the codec itself carries no checksums. Decoding fills fresh vectors
-     a page at a time ([Bigvec.Int.init], [Bigvec.Byte.append_substring])
-     into the same exact-size tables that element pushes build. *)
+(* --- Snapshot codec ---
 
-  let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+   Section layout (every integer a LEB128 varint):
 
-  let encode t =
-    let n = node_range t in
-    let arena_len = Bv.Byte.length t.arena in
-    let buf =
-      Buffer.create ((10 * 8 * n) + arena_len + 4096)
-    in
-    add_u64 buf n;
-    add_u64 buf arena_len;
-    add_u64 buf t.live;
-    add_u64 buf t.live_text_bytes;
-    Array.iter (add_u64 buf) t.counts;
-    add_u64 buf (Name_pool.count t.pool);
-    for i = 0 to Name_pool.count t.pool - 1 do
-      let s = Name_pool.name t.pool i in
-      add_u64 buf (String.length s);
-      Buffer.add_string buf s
-    done;
-    let column c = Bv.Int.iteri (fun _ v -> add_u64 buf v) c in
-    column t.kinds;
-    column t.names;
-    column t.parents;
-    column t.first_childs;
-    column t.last_childs;
-    column t.next_sibs;
-    column t.prev_sibs;
-    column t.first_attrs;
-    column t.text_offs;
-    column t.text_lens;
-    let slice = 65536 in
-    for k = 0 to (arena_len - 1) / slice do
-      let off = k * slice in
-      Buffer.add_string buf
-        (Bv.Byte.sub_string t.arena off (Int.min slice (arena_len - off)))
-    done;
-    Buffer.contents buf
+     node count n, arena length, name count, then each name (length,
+     bytes);
+     per node, its kind and name id + 1 as [kind lor ((name + 1) lsl 3)]
+     (name id + 1 = 0: no name);
+     parent, first child, last child, next sibling and first attribute,
+     each as the zigzag delta from the node's own id (0 = none: no link
+     points at its own node);
+     text lengths; for each non-empty text, the zigzag delta of its
+     offset from the end of the previous non-empty text (empty texts sit
+     at offset 0);
+     the arena, raw.
 
-  let decode blob =
-    let pos = ref 0 in
-    let need k =
-      if !pos + k > String.length blob then
-        failwith "Store.Codec.decode: truncated blob"
-    in
-    let u64 () =
-      need 8;
-      let v = Int64.to_int (String.get_int64_le blob !pos) in
-      pos := !pos + 8;
-      v
-    in
-    let str len =
-      need len;
-      let s = String.sub blob !pos len in
-      pos := !pos + len;
-      s
-    in
-    let n = u64 () in
-    let arena_len = u64 () in
-    let live = u64 () in
-    let live_text_bytes = u64 () in
-    if n < 0 || arena_len < 0 then failwith "Store.Codec.decode: bad header";
-    let counts = Array.init 7 (fun _ -> u64 ()) in
-    let pool = Name_pool.create () in
-    let pool_count = u64 () in
-    for _ = 1 to pool_count do
-      let len = u64 () in
-      ignore (Name_pool.intern pool (str len) : int)
+   Previous siblings are not stored: they are exactly the inverse of the
+   next-sibling links, so [decode] derives them. The live counts and
+   text bytes are derived from the kinds and lengths. *)
+
+module Codec = Xvi_util.Codec
+
+let max_nodes = (1 lsl 30) - 1
+
+let encode t s =
+  let module S = Codec.Sink in
+  let n = node_range t in
+  let arena_len = Bv.Byte.length t.arena in
+  S.varint s n;
+  S.varint s arena_len;
+  S.varint s (Name_pool.count t.pool);
+  for i = 0 to Name_pool.count t.pool - 1 do
+    S.string s (Name_pool.name t.pool i)
+  done;
+  Bv.Int.iteri
+    (fun i k -> S.varint s (k lor ((Bv.Int.get t.names i + 1) lsl 3)))
+    t.kinds;
+  let link c = Bv.Int.iteri (fun i v -> S.zigzag s (if v = nil then 0 else v - i)) c in
+  link t.parents;
+  link t.first_childs;
+  link t.last_childs;
+  link t.next_sibs;
+  link t.first_attrs;
+  Bv.Int.iteri (fun _ len -> S.varint s len) t.text_lens;
+  let prev_end = ref 0 in
+  Bv.Int.iteri
+    (fun i len ->
+      if len > 0 then begin
+        let off = Bv.Int.get t.text_offs i in
+        S.zigzag s (off - !prev_end);
+        prev_end := off + len
+      end)
+    t.text_lens;
+  let slice = 65536 in
+  let off = ref 0 in
+  while !off < arena_len do
+    let len = Int.min slice (arena_len - !off) in
+    S.bytes s (Bv.Byte.sub_string t.arena !off len) 0 len;
+    off := !off + len
+  done
+
+(* The live tree, checked from the document node down with an explicit
+   stack: every live node is reached exactly once, through the chain of
+   its parent (attributes through the attribute chain of an element),
+   with an id above its parent's, consistent parent, previous-sibling
+   and last-child links, and only elements have children or attributes.
+   A decoded store that passes cannot make a traversal loop or leave a
+   live node unreachable. *)
+let check_tree t =
+  let get = Bv.Int.get in
+  let element = kind_to_int Element and attribute = kind_to_int Attribute in
+  let seen = Bytes.make (node_range t) '\000' in
+  let reached = ref 1 in
+  let stack = ref [ document ] in
+  let chain owner first ~attrs =
+    let prev = ref nil and c = ref first in
+    while !c <> nil do
+      let x = !c in
+      if x <= owner then Codec.malformed "node %d is not above its parent %d" x owner;
+      if Bytes.get seen x <> '\000' then Codec.malformed "node %d is linked twice" x;
+      Bytes.set seen x '\001';
+      incr reached;
+      let k = get t.kinds x in
+      if
+        if attrs then k <> attribute
+        else k = attribute || k = kind_to_int Deleted || k = kind_to_int Document
+      then Codec.malformed "node %d of the wrong kind under node %d" x owner;
+      if get t.parents x <> owner then
+        Codec.malformed "node %d: parent link disagrees with its chain" x;
+      if get t.prev_sibs x <> !prev then
+        Codec.malformed "node %d: sibling links disagree" x;
+      if k = element then stack := x :: !stack
+      else if
+        get t.first_childs x <> nil
+        || get t.last_childs x <> nil
+        || get t.first_attrs x <> nil
+      then Codec.malformed "node %d: a non-element with children" x;
+      prev := x;
+      c := get t.next_sibs x
     done;
-    let column () =
-      if n > (String.length blob - !pos) / 8 then
-        failwith "Store.Codec.decode: truncated blob";
-      let base = !pos in
-      pos := base + (8 * n);
-      Bv.Int.init n (fun i ->
-          Int64.to_int (String.get_int64_le blob (base + (8 * i))))
-    in
-    let kinds = column () in
-    let names = column () in
-    let parents = column () in
-    let first_childs = column () in
-    let last_childs = column () in
-    let next_sibs = column () in
-    let prev_sibs = column () in
-    let first_attrs = column () in
-    let text_offs = column () in
-    let text_lens = column () in
-    let arena = Bv.Byte.create () in
-    need arena_len;
-    ignore (Bv.Byte.append_substring arena blob !pos arena_len : int);
-    pos := !pos + arena_len;
-    if !pos <> String.length blob then
-      failwith "Store.Codec.decode: trailing bytes";
+    !prev
+  in
+  Bytes.set seen document '\001';
+  if
+    get t.parents document <> nil
+    || get t.next_sibs document <> nil
+    || get t.first_attrs document <> nil
+  then Codec.malformed "the document node has a parent, sibling or attribute";
+  let rec drain () =
+    match !stack with
+    | [] -> ()
+    | p :: rest ->
+        stack := rest;
+        ignore (chain p (get t.first_attrs p) ~attrs:true : int);
+        if chain p (get t.first_childs p) ~attrs:false <> get t.last_childs p
+        then Codec.malformed "node %d: last-child link disagrees with its chain" p;
+        drain ()
+  in
+  drain ();
+  if !reached <> t.live then
+    Codec.malformed "%d live nodes, %d reachable from the document" t.live
+      !reached
+
+let decode src =
+  let module S = Codec.Source in
+  let n = S.varint src in
+  if n < 1 || n > max_nodes then
+    Codec.malformed "node count %d outside [1, %d]" n max_nodes;
+  (* every column entry takes at least one byte: a count the input
+     cannot hold is rejected before anything is allocated for it *)
+  if n > S.remaining src then Codec.malformed "node count %d past the input" n;
+  let arena_len = S.varint src in
+  let pool = Name_pool.create () in
+  let pool_count = S.varint src in
+  if pool_count > S.remaining src then
+    Codec.malformed "name count %d past the input" pool_count;
+  for i = 0 to pool_count - 1 do
+    if Name_pool.intern pool (S.string src) <> i then
+      Codec.malformed "duplicate name %d" i
+  done;
+  let counts = Array.make 7 0 in
+  let names = Bv.Int.create () in
+  let kinds =
+    Bv.Int.init n (fun i ->
+        let v = S.varint src in
+        let k = v land 7 and id = (v lsr 3) - 1 in
+        if k > kind_to_int Deleted then Codec.malformed "node %d: unknown kind %d" i k;
+        if (k = kind_to_int Document) <> (i = document) then
+          Codec.malformed "node %d: misplaced document kind" i;
+        if id >= pool_count then
+          Codec.malformed "node %d: name id %d >= pool size %d" i id pool_count;
+        (match kind_of_int k with
+        | Element | Attribute | Pi when id = nil ->
+            Codec.malformed "node %d: missing name" i
+        | Document | Text | Comment when id <> nil ->
+            Codec.malformed "node %d: unexpected name" i
+        | _ -> ());
+        counts.(k) <- counts.(k) + 1;
+        Bv.Int.push names id;
+        k)
+  in
+  let link () =
+    Bv.Int.init n (fun i ->
+        match S.zigzag src with
+        | 0 -> nil
+        | d ->
+            let v = i + d in
+            if v < 0 || v >= n then
+              Codec.malformed "node %d: link %d outside [nil, %d)" i v n;
+            v)
+  in
+  let parents = link () in
+  let first_childs = link () in
+  let last_childs = link () in
+  let next_sibs = link () in
+  let first_attrs = link () in
+  let live_text_bytes = ref 0 in
+  let text_lens =
+    Bv.Int.init n (fun i ->
+        let len = S.varint src in
+        let k = Bv.Int.get kinds i in
+        if len > 0 && (k = kind_to_int Document || k = kind_to_int Element) then
+          Codec.malformed "node %d: text on an element" i;
+        if k <> kind_to_int Deleted then live_text_bytes := !live_text_bytes + len;
+        len)
+  in
+  let prev_end = ref 0 in
+  let text_offs =
+    Bv.Int.init n (fun i ->
+        let len = Bv.Int.get text_lens i in
+        if len = 0 then 0
+        else begin
+          let off = !prev_end + S.zigzag src in
+          if off < 0 || off > arena_len - len then
+            Codec.malformed "node %d: text outside the arena" i;
+          prev_end := off + len;
+          off
+        end)
+  in
+  let arena = Bv.Byte.create () in
+  S.raw src arena_len (fun s off len ->
+      ignore (Bv.Byte.append_substring arena s off len : int));
+  let prev_sibs = Bv.Int.init n (fun _ -> nil) in
+  Bv.Int.iteri
+    (fun i next ->
+      if next <> nil then begin
+        if Bv.Int.get prev_sibs next <> nil then
+          Codec.malformed "node %d has two previous siblings" next;
+        Bv.Int.set prev_sibs next i
+      end)
+    next_sibs;
+  let t =
     {
       kinds;
       names;
@@ -643,8 +773,10 @@ module Codec = struct
       text_lens;
       arena;
       pool;
-      live;
+      live = n - counts.(kind_to_int Deleted);
       counts;
-      live_text_bytes;
+      live_text_bytes = !live_text_bytes;
     }
-end
+  in
+  check_tree t;
+  t

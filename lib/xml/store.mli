@@ -158,6 +158,15 @@ val heap_bytes : t -> int
 val text_bytes : t -> int
 (** Total bytes of live text/attribute content. *)
 
+val text_arena : t -> string
+(** A copy of the whole text arena, abandoned bytes included — for a
+    pass over every text ({!text_span}) that should not copy each one. *)
+
+val text_span : t -> node -> int * int
+(** [(offset, length)] of a node's text in {!text_arena}:
+    [text t n = String.sub (text_arena t) off len].
+    @raise Invalid_argument for the kinds {!text} rejects. *)
+
 (** {1 Compaction} *)
 
 val compact : t -> t * (node -> node option)
@@ -168,19 +177,27 @@ val compact : t -> t * (node -> node option)
     are not stable across compaction, which is why it is an explicit
     maintenance operation, as in any database. *)
 
-(** {1 Columnar codec} *)
+(** {1 Snapshot codec} *)
 
-module Codec : sig
-  val encode : t -> string
-  (** Serialise the store as a raw columnar blob: fixed-width
-      little-endian column contents plus the text arena and name pool.
-      No internal checksums — the snapshot layer digest-frames it. *)
+val max_nodes : int
+(** [2^30 - 1]: the largest node count a snapshot may hold — node ids
+    share a 62-bit posting key with a 32-bit hash (see
+    {!Xvi_core.String_index}). *)
 
-  val decode : string -> t
-  (** Inverse of {!encode}. The result is canonical: it marshals
-      identically to an organically built store with the same history.
-      @raise Failure on a malformed blob. *)
-end
+val encode : t -> Xvi_util.Codec.Sink.t -> unit
+(** Write the store as the snapshot's store section: the name pool, then
+    varint columns — kind and name id in one, links as zigzag deltas
+    from the node's own id, text offsets as deltas from the previous
+    text's end — and the arena raw. *)
+
+val decode : Xvi_util.Codec.Source.t -> t
+(** Inverse of {!encode}; total. Besides rejecting malformed varints,
+    unknown kinds, out-of-range links, name ids and text ranges and a
+    node count above {!max_nodes}, it checks that the live nodes form
+    one tree under the document node with consistent links and every
+    child's id above its parent's, so no traversal of the result can
+    loop.
+    @raise Xvi_util.Codec.Malformed on any violation. *)
 
 (** {1 Pre/size/level snapshot} *)
 

@@ -161,10 +161,18 @@ let test_fault_sweep_exhaustive () =
         Alcotest.failf "only %d byte flips" r.Fault.flips
 
 let test_fault_sweep_default_config () =
-  (* the realistic snapshot (double + datetime SCTs, marshalled tables)
-     with the truncation sweep sampled down to tier-1 size *)
+  (* the realistic snapshot (double + datetime indices) with the
+     truncation sweep sampled down to tier-1 size: the document is large
+     enough that its snapshot exceeds the 512 sampled lengths *)
   let db =
-    Db.of_xml_exn "<doc><a ts=\"2009-03-24T12:00:00Z\">1.5</a><b>two</b></doc>"
+    Db.of_xml_exn
+      ("<doc>"
+      ^ String.concat ""
+          (List.init 8 (fun i ->
+               Printf.sprintf
+                 "<a ts=\"2009-03-%02dT12:00:00Z\">1.%d</a><b>two %d</b>"
+                 (i + 10) i i))
+      ^ "</doc>")
   in
   match Fault.sweep ~truncations:512 ~flips:256 db with
   | Error m -> Alcotest.fail m

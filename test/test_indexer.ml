@@ -216,6 +216,10 @@ let check_result (type f) (ops : f Indexer.ops) store ~(before : f Indexer.field
     (fields : f Indexer.fields) ~written (res : f Indexer.update_result) =
   let what = ops.Indexer.field_name in
   fields_agree ops store fields (Indexer.create_reference ops store);
+  (* the snapshot loader's one-pass fill agrees after every edit *)
+  let filled = Indexer.empty_fields ops in
+  Indexer.fill store [ Indexer.Packed (ops, filled) ];
+  fields_agree ops store fields filled;
   let rec desc = function
     | a :: (b :: _ as rest) ->
         if a < b then Alcotest.failf "%s: levels not deepest first" what;

@@ -1191,6 +1191,7 @@ let codec_pairs =
     ("Protocol.encode_request", "Protocol.decode_request");
     ("Protocol.encode_response", "Protocol.decode_response");
     ("Store.kind_to_int", "Store.kind_of_int");
+    ("Snapshot.section_tag", "Snapshot.section_of_tag");
   ]
 
 let check_d4 g =
