@@ -447,7 +447,7 @@ let ablation () =
   Table.print ~header:[ "string index maintenance (1000 updates)"; "time" ]
     [
       [ "incremental (Figure 8, C-recombination)"; Table.fmt_ms inc_ms ];
-      [ "full rebuild (Figure 7)"; Table.fmt_ms rebuild_ms ];
+      [ "full rebuild (one fill pass)"; Table.fmt_ms rebuild_ms ];
       [ "speedup"; Printf.sprintf "%.0fx" (rebuild_ms /. inc_ms) ];
     ];
   print_newline ();
@@ -610,7 +610,7 @@ let ablation () =
                  Indexer.Packed (ops, Indexer.empty_fields ops))
                specs
         in
-        Indexer.create_multi store packs)
+        Indexer.fill store packs)
   in
   let (), separate_ms =
     Timing.time_ms (fun () ->
@@ -625,8 +625,8 @@ let ablation () =
   Table.print
     ~header:[ "field computation for 3 indices (string+double+dateTime)"; "time" ]
     [
-      [ "one shared Figure 7 pass (paper Section 5)"; Table.fmt_ms multi_ms ];
-      [ "one pass per index"; Table.fmt_ms separate_ms ];
+      [ "one shared fill pass (paper Section 5)"; Table.fmt_ms multi_ms ];
+      [ "one fill pass per index"; Table.fmt_ms separate_ms ];
       [ "speedup"; Printf.sprintf "%.2fx" (separate_ms /. multi_ms) ];
     ];
   print_newline ();
@@ -967,11 +967,13 @@ let query_bench () =
 (* ====================================================== parallel ===== *)
 
 (* Extension experiment: domain-parallel index construction. Builds the
-   full Db over an XMark document with 1, 2, 4 and 8 domains, reports
-   the wall-clock speedup over the serial build, and checks that the
-   parallel field columns are bit-identical to the serial ones (the
-   monoid-reduction argument behind Indexer.create_multi). Speedup
-   saturates at the host's core count. *)
+   full Db over an XMark document with 1, 2, 4 and 8 domains and reports
+   the wall-clock speedup over the serial build. One serial
+   [Indexer.fill] pass computes the field columns; what runs per domain
+   is posting and typed-value collection over node-id slices, so the
+   speedup saturates early and at the host's core count. Exits 1 when a
+   parallel build's digest differs from the serial one or the jobs=4
+   database fails validation. *)
 let parallel () =
   print_endline "== Parallel index construction (jobs = 1/2/4/8) ==";
   Printf.printf "host recommends %d domain(s)\n"
@@ -984,7 +986,7 @@ let parallel () =
   let build jobs =
     Db.of_store ~config:{ Db.Config.default with Db.Config.jobs } store
   in
-  let serial_fp = ref "" and serial_ms = ref 0.0 in
+  let serial_fp = ref "" and serial_ms = ref 0.0 and failed = ref false in
   let rows =
     List.map
       (fun jobs ->
@@ -996,6 +998,7 @@ let parallel () =
           serial_fp := fp;
           serial_ms := ms
         end;
+        if fp <> !serial_fp then failed := true;
         [
           string_of_int jobs;
           Table.fmt_ms ms;
@@ -1007,8 +1010,11 @@ let parallel () =
   Table.print ~header:[ "jobs"; "build"; "speedup"; "vs serial" ] rows;
   (match Db.validate (build 4) with
   | Ok () -> print_endline "jobs=4 database validates clean against a rebuild"
-  | Error e -> Printf.printf "VALIDATION FAILED: %s\n" e);
-  print_newline ()
+  | Error e ->
+      failed := true;
+      Printf.printf "VALIDATION FAILED: %s\n" e);
+  print_newline ();
+  if !failed then exit 1
 
 (* ====================================================== wal ===== *)
 
@@ -2185,11 +2191,12 @@ let storage_bench () =
    [Ingest.load] pulling SAX events straight off the file descriptor,
    on an XMark ×8 document. Three claims are measured: the streamed
    build is identical ([Db.digest]) to the whole-document build; its
-   peak live major heap during the run is a fraction of the whole
-   path's (the document string, the parse, and the posting-sort
-   transients never exist at once); and throughput — including the
-   durable [Durable.bulk_ingest] variant, every batch WAL-committed —
-   stays in the same league. Results land in BENCH_ingest.json. *)
+   peak live major heap while the document streams in is a fraction of
+   the whole path's (the document string never exists); and throughput
+   — including the durable [Durable.bulk_ingest] variant, every batch
+   WAL-committed — stays in the same league. Results land in
+   BENCH_ingest.json with the git revision, the quick flag and the core
+   count. *)
 let ingest_bench () =
   print_endline "== Streaming bulk ingest ==";
   let module Db = Xvi_core.Db in
@@ -2262,19 +2269,14 @@ let ingest_bench () =
 
   (* --- streamed path (in-memory) ---
      Driven through [Builder] directly so the two phases separate: the
-     staging phase (every event consumed, every batch sorted — rows and
-     postings living in off-heap columns) and the final assembly that
-     materializes the returned database. "Peak during ingest" is the
-     staging phase's peak: the heap the pipeline itself needs. The
+     shred phase (every event consumed, the rows appended to the store's
+     off-heap columns) and [finish], which indexes the store as
+     [Db.of_store] does. "Peak during shred" is the shred phase's peak:
+     the heap streaming needs while the document arrives. The
      whole-document path has no such split — its peak stands for the
      entire call. *)
   let stream_batches = ref 0 in
-  let ( db_s,
-        staging_peak,
-        staging_offheap ),
-      stream_ms,
-      stream_base,
-      stream_peak,
+  let (db_s, shred_peak, shred_ms), stream_ms, stream_base, stream_peak,
       _stream_final =
     measure (fun () ->
         let ic = open_in_bin path in
@@ -2293,17 +2295,16 @@ let ingest_bench () =
                   if Ingest.Builder.pending_rows b >= Ingest.default_batch_rows
                   then begin
                     Ingest.Builder.flush_batch b;
-                    incr stream_batches;
                     sample ()
                   end;
                   drive ()
             in
-            drive ();
-            Ingest.Builder.flush_batch b;
+            let (), shred_ms = Timing.time_ms drive in
             sample ();
-            let staging_peak = !peak in
-            let staging_offheap = Ingest.Builder.staging_bytes b in
-            (Ingest.Builder.finish b, staging_peak, staging_offheap)))
+            let shred_peak = !peak in
+            let db = Ingest.Builder.finish b in
+            stream_batches := Ingest.Builder.batches b;
+            (db, shred_peak, shred_ms)))
   in
   let stream_digest = Db.digest db_s in
   let bit_identical = String.equal whole_digest stream_digest in
@@ -2348,22 +2349,21 @@ let ingest_bench () =
     failwith "durable bulk ingest diverged from the whole-document build";
 
   (* Peak-above-baseline isolates each run's own live set. The
-     headline ratio is the streamed staging phase's peak against the
+     headline ratio is the streamed shred phase's peak against the
      whole path's peak: while ingest is consuming the document the heap
-     stays O(depth + batch), whereas the whole path cannot return
-     without having held document + store + indices at once. Both runs
-     end holding the same bit-identical database, so the absolute
-     end-to-end peaks (product included) are also reported. *)
+     stays O(depth + chunk), whereas the whole path holds the document
+     string and the store at once. Both runs end holding the same
+     bit-identical database, so the absolute end-to-end peaks (product
+     included) are also reported. *)
   let whole_delta = whole_peak - whole_base in
   let stream_delta = stream_peak - stream_base in
-  let staging_delta = staging_peak - stream_base in
-  let ratio = float_of_int staging_delta /. float_of_int (max 1 whole_delta) in
+  let shred_delta = shred_peak - stream_base in
+  let ratio = float_of_int shred_delta /. float_of_int (max 1 whole_delta) in
   let absolute_ratio =
     float_of_int stream_delta /. float_of_int (max 1 whole_delta)
   in
   Table.print
-    ~header:
-      [ "path"; "time"; "MB/s"; "peak live words"; "during shred+stage" ]
+    ~header:[ "path"; "time"; "MB/s"; "peak live words"; "during shred" ]
     [
       [
         "whole document"; Table.fmt_ms whole_ms;
@@ -2372,11 +2372,11 @@ let ingest_bench () =
         Table.fmt_int whole_delta;
       ];
       [
-        Printf.sprintf "streamed (%d batches)" (!stream_batches + 1);
+        Printf.sprintf "streamed (%d batches)" !stream_batches;
         Table.fmt_ms stream_ms;
         Printf.sprintf "%.1f" (mb_s stream_ms);
         Table.fmt_int stream_delta;
-        Table.fmt_int staging_delta;
+        Table.fmt_int shred_delta;
       ];
       [
         "streamed durable"; Table.fmt_ms durable_ms;
@@ -2384,30 +2384,34 @@ let ingest_bench () =
         "-"; "-";
       ];
     ];
+  Printf.printf "streamed: %s shredding, %s indexing\n" (Table.fmt_ms shred_ms)
+    (Table.fmt_ms (stream_ms -. shred_ms));
   Printf.printf
     "durable: %s committing %d chunks, %s in the final checkpoint (snapshot \
      %s)\n"
     (Table.fmt_ms chunk_log_ms) durable_stats.Durable.writer.Xvi_wal.Wal.Writer.commits
     (Table.fmt_ms checkpoint_ms) (Table.fmt_bytes snapshot_bytes);
   Printf.printf
-    "bit-identical: %b; peak live heap during ingest is %.3fx the whole \
-     path's peak (%s off-heap staging; end-to-end peaks with the finished \
-     database included: %.2fx)\n"
-    bit_identical ratio
-    (Table.fmt_bytes staging_offheap)
-    absolute_ratio;
+    "bit-identical: %b; peak live heap during the shred is %.3fx the whole \
+     path's peak (end-to-end peaks with the finished database included: \
+     %.2fx)\n"
+    bit_identical ratio absolute_ratio;
+  let cores = Domain.recommended_domain_count () in
   let json =
     Printf.sprintf
       "{\n\
       \  \"experiment\": \"ingest\",\n\
+      \  \"git_rev\": %S,\n\
+      \  \"quick\": %b,\n\
+      \  \"cores\": %d,\n\
       \  \"xmark_factor\": %.3f,\n\
       \  \"bytes\": %d,\n\
       \  \"nodes\": %d,\n\
       \  \"whole\": { \"ms\": %.1f, \"mb_per_s\": %.2f, \
        \"peak_live_words\": %d },\n\
       \  \"streamed\": { \"ms\": %.1f, \"mb_per_s\": %.2f, \
-       \"peak_live_words\": %d, \"staging_peak_live_words\": %d, \
-       \"staging_offheap_bytes\": %d, \"batches\": %d },\n\
+       \"peak_live_words\": %d, \"shred_ms\": %.1f, \
+       \"shred_peak_live_words\": %d, \"batches\": %d },\n\
       \  \"durable\": { \"ms\": %.1f, \"mb_per_s\": %.2f, \
        \"chunk_log_ms\": %.1f, \"checkpoint_ms\": %.1f, \
        \"snapshot_bytes\": %d },\n\
@@ -2415,11 +2419,10 @@ let ingest_bench () =
       \  \"peak_ratio\": %.4f,\n\
       \  \"absolute_peak_ratio\": %.4f\n\
        }\n"
-      factor bytes nodes whole_ms (mb_s whole_ms) whole_delta stream_ms
-      (mb_s stream_ms) stream_delta staging_delta staging_offheap
-      (!stream_batches + 1)
-      durable_ms (mb_s durable_ms) chunk_log_ms checkpoint_ms snapshot_bytes
-      bit_identical ratio absolute_ratio
+      (git_rev ()) !quick cores factor bytes nodes whole_ms (mb_s whole_ms)
+      whole_delta stream_ms (mb_s stream_ms) stream_delta shred_ms shred_delta
+      !stream_batches durable_ms (mb_s durable_ms) chunk_log_ms checkpoint_ms
+      snapshot_bytes bit_identical ratio absolute_ratio
   in
   let oc = open_out "BENCH_ingest.json" in
   output_string oc json;

@@ -317,9 +317,10 @@ let ingest_cmd =
     Arg.(value & opt int Ingest.default_batch_rows
          & info [ "batch-rows" ] ~docv:"N"
              ~doc:
-               "Staged rows per committed batch. Smaller batches bound live \
-                memory tighter and make crash recovery finer-grained; larger \
-                ones amortise the per-batch sort and fsync.")
+               "Store rows per committed batch: each batch ends with one \
+                WAL chunk commit and a progress report. Smaller batches make \
+                crash recovery finer-grained; larger ones amortise the \
+                per-batch fsync. The index is built once, at the end.")
   in
   let force =
     Arg.(value & flag
@@ -432,8 +433,9 @@ let ingest_cmd =
   Cmd.v
     (Cmd.info "ingest"
        ~doc:
-         "Stream a document into a fresh durable directory in bounded memory \
-          (SAX shred, batched indexing, WAL-committed batches)")
+         "Stream a document into a fresh durable directory without holding \
+          it in memory (SAX shred into off-heap columns, WAL-committed \
+          batches, one index build at the end)")
     Term.(
       const run $ file $ dir $ batch_rows $ force $ resume $ jobs_arg
       $ sync_mode_arg)

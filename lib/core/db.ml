@@ -33,48 +33,6 @@ type t = {
   mutable plane : Xvi_xml.Pre_plane.t option;
 }
 
-let build ~config ?pool store =
-  (* one Figure 7 pass computes the fields of every index (paper §5:
-     "creating ... multiple defined indices can be done simultaneously
-     with only one pass") *)
-  let hash_fields = Indexer.empty_fields Indexer.hash_ops in
-  let typed_fields =
-    List.map
-      (fun spec ->
-        (spec, Indexer.empty_fields (Indexer.sct_ops spec.Lexical_types.sct)))
-      config.Config.types
-  in
-  Indexer.create_multi ?pool store
-    (Indexer.Packed (Indexer.hash_ops, hash_fields)
-    :: List.map
-         (fun (spec, fields) ->
-           Indexer.Packed (Indexer.sct_ops spec.Lexical_types.sct, fields))
-         typed_fields);
-  {
-    store;
-    config;
-    strings = String_index.of_fields ?pool store hash_fields;
-    typed =
-      List.map
-        (fun (spec, fields) -> Typed_index.of_fields ?pool spec store fields)
-        typed_fields;
-    substring =
-      (if config.Config.substring then Some (Substring_index.create store)
-       else None);
-    names = Name_index.create store;
-    plane = None;
-  }
-
-let of_store ?(config = Config.default) store =
-  if config.Config.jobs > 1 then
-    Pool.with_pool ~jobs:config.Config.jobs (fun pool ->
-        build ~config ~pool store)
-  else build ~config store
-
-(* Streaming-ingest assembly: [Xvi_ingest] builds the store, the hash
-   postings and the typed trees itself (batch by batch); this puts the
-   same record together that [build] would, constructing only the
-   store-derived parts (names, optional substring index) here. *)
 let assemble ~config ~store ~strings ~typed =
   {
     store;
@@ -87,6 +45,38 @@ let assemble ~config ~store ~strings ~typed =
     names = Name_index.create store;
     plane = None;
   }
+
+let build ~config ?pool store =
+  (* one pass computes the fields of every index (paper §5: "creating
+     ... multiple defined indices can be done simultaneously with only
+     one pass"); the trees are then bulk-loaded from the columns *)
+  let hash_fields = Indexer.empty_fields Indexer.hash_ops in
+  let typed_fields =
+    List.map
+      (fun spec ->
+        (spec, Indexer.empty_fields (Indexer.sct_ops spec.Lexical_types.sct)))
+      config.Config.types
+  in
+  Indexer.fill store
+    (Indexer.Packed (Indexer.hash_ops, hash_fields)
+    :: List.map
+         (fun (spec, fields) ->
+           Indexer.Packed (Indexer.sct_ops spec.Lexical_types.sct, fields))
+         typed_fields);
+  assemble ~config ~store
+    ~strings:(String_index.of_fields ?pool store hash_fields)
+    ~typed:
+      (List.map
+         (fun (spec, fields) -> Typed_index.of_fields ?pool spec store fields)
+         typed_fields)
+
+let of_store ?(config = Config.default) ?pool store =
+  match pool with
+  | Some _ -> build ~config ?pool store
+  | None when config.Config.jobs > 1 ->
+      Pool.with_pool ~jobs:config.Config.jobs (fun pool ->
+          build ~config ~pool store)
+  | None -> build ~config store
 
 let of_xml ?config src =
   Result.map (fun store -> of_store ?config store) (Parser.parse src)

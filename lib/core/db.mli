@@ -50,12 +50,15 @@ module Range = Xvi_query.Range
 module Ir = Xvi_query.Ir
 (** The predicate IR accepted by {!query} / {!explain}. *)
 
-val of_store : ?config:Config.t -> Xvi_xml.Store.t -> t
+val of_store : ?config:Config.t -> ?pool:Xvi_util.Pool.t -> Xvi_xml.Store.t -> t
 (** Index an existing store. The string index is always built; typed
     and substring indices follow [config] (default {!Config.default}).
-    With [config.jobs > 1] the construction runs on a domain pool; see
-    {!Indexer.create_multi} for why the parallel build is bit-identical
-    to the serial one. *)
+    One {!Indexer.fill} pass computes every field column; the posting
+    and value trees are then bulk-loaded from the columns. Collecting
+    postings and parsing typed values runs on [pool] when given, else
+    on a pool of [config.jobs] domains when [config.jobs > 1]; the
+    result is bit-identical either way, since each domain collects a
+    node-id slice and the keys are sorted before the bulk load. *)
 
 val assemble :
   config:Config.t ->
@@ -63,12 +66,11 @@ val assemble :
   strings:String_index.t ->
   typed:Typed_index.t list ->
   t
-(** Assemble a database from components a streaming builder
-    ([Xvi_ingest]) or the snapshot decoder ({!Snapshot}) produced:
-    [typed] must be in [config.types] order. The
-    store-derived parts ([Name_index], the optional substring index)
-    are built here. When the components are identical to what the
-    serial [of_store] pass builds, so is the database ({!digest}). *)
+(** Assemble a database from components the snapshot decoder
+    ({!Snapshot}) produced: [typed] must be in [config.types] order.
+    The store-derived parts ([Name_index], the optional substring
+    index) are built here. When the components are identical to what
+    [of_store] builds, so is the database ({!digest}). *)
 
 val of_xml : ?config:Config.t -> string -> (t, Xvi_xml.Parser.error) result
 (** Shred an XML document and index it. *)

@@ -83,268 +83,19 @@ let fold_children ops store fields n =
   | None -> go ops.identity (Store.first_child store n)
   | Some z -> go_until z ops.identity (Store.first_child store n)
 
-(* Fields of attribute nodes are independent of the child recursion; both
-   the creation pass and the reference computation share this. *)
-let compute_attributes ops store fields n =
-  List.iter
-    (fun a -> set fields a (ops.of_text (Store.text store a)))
-    (Store.attributes store n)
-
-(* --- Figure 7: creation ---
-
-   The traversal is independent of the field machine, so it is written
-   once against two callbacks: [on_text node text] when the context
-   reaches a text node (also used for attributes, whose fields do not
-   participate in the recursion), and [on_combine ~parent ~child] when
-   the walk departs a node rightward or upward.
-
-   [drive_texts] walks an arbitrary {e contiguous slice} [lo, hi) of the
-   document-order context sequence. Run over the whole sequence it is
-   exactly Figure 7; run over a chunk it accumulates, for every node,
-   precisely the combination (in document order) of the chunk's text
-   contributions below that node — the partial fields the parallel
-   builder merges with the associative [combine]. *)
-
-let drive_texts store ctx lo hi ~on_text ~on_combine =
-  if lo < hi then begin
-    (* Ancestor-or-self chain of the current context text node, kept as
-       a mark bitmap (plus the marked list for O(depth) clearing);
-       refreshed whenever the context advances. *)
-    let marks = Bytes.make (Store.node_range store) '\000' in
-    let marked = ref [] in
-    let load_ancestors target =
-      List.iter (fun n -> Bytes.unsafe_set marks n '\000') !marked;
-      marked := [];
-      let rec up n =
-        Bytes.unsafe_set marks n '\001';
-        marked := n :: !marked;
-        match Store.parent store n with Some p -> up p | None -> ()
-      in
-      up target
-    in
-    let in_chain n = Bytes.unsafe_get marks n = '\001' in
-    let len = hi in
-    let stack = Stack.create () in
-    let cur = ref Store.document in
-    let i = ref lo in
-    load_ancestors ctx.(lo);
-    while !i < len do
-      let target = ctx.(!i) in
-      if target = !cur then begin
-        (* line 06-08: a context text node — apply H / the FSM *)
-        on_text !cur (Store.text store !cur);
-        incr i;
-        if !i < len then load_ancestors ctx.(!i)
-      end
-      else if in_chain !cur then begin
-        (* line 09-11: the target lies below — descend, stacking [cur] *)
-        Stack.push !cur stack;
-        match Store.first_child store !cur with
-        | Some c -> cur := c
-        | None -> assert false (* [target] is a strict descendant *)
-      end
-      else begin
-        match Store.parent store !cur with
-        | Some father when in_chain father ->
-            (* line 12-15: target is within a following sibling's subtree —
-               fold [cur] into its father and move right *)
-            on_combine ~parent:father ~child:!cur;
-            (match Store.next_sibling store !cur with
-            | Some s -> cur := s
-            | None -> assert false (* a following sibling must exist *))
-        | _ ->
-            (* line 16-19: done below this ancestor — pop and fold upward *)
-            let p = Stack.pop stack in
-            on_combine ~parent:p ~child:!cur;
-            cur := p
-      end
-    done;
-    (* line 20-24: drain the stack of open ancestors *)
-    while not (Stack.is_empty stack) do
-      let p = Stack.pop stack in
-      on_combine ~parent:p ~child:!cur;
-      cur := p
-    done
-  end
-
-(* Attributes, in the same conceptual pass: their fields are independent
-   of the child recursion, so a flat column scan over any node-id slice
-   does — which also makes the scan trivially partitionable. *)
-let drive_attributes store lo hi ~on_text =
-  for n = lo to hi - 1 do
-    if Store.kind store n = Store.Attribute then on_text n (Store.text store n)
-  done
-
-let drive_create store ~on_text ~on_combine =
-  let ctx = Store.text_nodes store in
-  drive_texts store ctx 0 (Array.length ctx) ~on_text ~on_combine;
-  drive_attributes store 0 (Store.node_range store) ~on_text
-
-let create ops store =
-  let fields = empty_fields ops in
-  drive_create store
-    ~on_text:(fun n txt -> set fields n (ops.of_text txt))
-    ~on_combine:(fun ~parent ~child ->
-      set fields parent (ops.combine (get fields parent) (get fields child)));
-  fields
-
 type packed = Packed : 'f ops * 'f fields -> packed
 
-let create_multi_serial store packs =
-  let on_texts =
-    List.map
-      (fun (Packed (ops, fields)) ->
-        fun n txt -> set fields n (ops.of_text txt))
-      packs
-  in
-  let on_combines =
-    List.map
-      (fun (Packed (ops, fields)) ->
-        fun ~parent ~child ->
-          set fields parent (ops.combine (get fields parent) (get fields child)))
-      packs
-  in
-  drive_create store
-    ~on_text:(fun n txt -> List.iter (fun f -> f n txt) on_texts)
-    ~on_combine:(fun ~parent ~child ->
-      List.iter (fun f -> f ~parent ~child) on_combines)
+(* --- Creation: one shared pass (paper Section 5) ---
 
-(* --- Parallel creation ---
-
-   Every per-node field is a monoid reduction over the document-order
-   text sequence: field(n) = combine of [of_text] over the context text
-   nodes below [n], in order. So the context sequence can be cut into
-   [jobs] contiguous chunks, each chunk driven through the Figure 7
-   walk independently (accumulating chunk-local partial fields), and
-   the partials merged per node with the associative [combine] in chunk
-   order. Associativity makes the merged fields {e bit-identical} to
-   the serial pass — [combine] on hashes is exact 27-bit arithmetic and
-   on SCT states an exact table lookup, so no floating or rounding
-   slack exists anywhere.
-
-   Attribute fields do not participate in the recursion; their flat
-   column scan is partitioned by node-id slices, and the identity-unit
-   law turns their merge into plain adoption of the one non-identity
-   partial. *)
-
-type chunked = Chunked : { ops : 'f ops; target : 'f fields; locals : 'f fields array } -> chunked
-
-let create_multi_parallel pool store packs =
-  let jobs = Xvi_util.Pool.parallelism pool in
-  let range = Store.node_range store in
-  let ctx = Store.text_nodes store in
-  let text_slices = Xvi_util.Pool.slices (Array.length ctx) jobs in
-  let node_slices = Xvi_util.Pool.slices range jobs in
-  let machines =
-    List.map
-      (fun (Packed (ops, target)) ->
-        Chunked
-          {
-            ops;
-            target;
-            locals = Array.init jobs (fun _ -> empty_fields ops);
-          })
-      packs
-  in
-  (* Phase 1: per-chunk partial fields, all machines sharing each walk. *)
-  ignore
-    (Xvi_util.Pool.map pool
-       (fun k ->
-         let tlo, thi = text_slices.(k) in
-         let alo, ahi = node_slices.(k) in
-         let on_texts =
-           List.map
-             (fun (Chunked m) ->
-               let loc = m.locals.(k) and ops = m.ops in
-               (* pre-size once so per-event [set] never pays the
-                  grow-by-push loop *)
-               if range > 0 then set loc (range - 1) ops.identity;
-               fun n txt -> set loc n (ops.of_text txt))
-             machines
-         in
-         let on_combines =
-           List.map
-             (fun (Chunked m) ->
-               let loc = m.locals.(k) and ops = m.ops in
-               fun ~parent ~child ->
-                 set loc parent (ops.combine (get loc parent) (get loc child)))
-             machines
-         in
-         let on_text n txt = List.iter (fun f -> f n txt) on_texts in
-         let on_combine ~parent ~child =
-           List.iter (fun f -> f ~parent ~child) on_combines
-         in
-         drive_texts store ctx tlo thi ~on_text ~on_combine;
-         drive_attributes store alo ahi ~on_text)
-       jobs
-      : unit array);
-  (* Phase 2: merge partials into the target fields, in chunk order —
-     itself partitioned by node-id slices (each slice writes disjoint
-     indices of the pre-sized target vectors). *)
-  List.iter
-    (fun (Chunked m) -> if range > 0 then set m.target (range - 1) m.ops.identity)
-    machines;
-  ignore
-    (Xvi_util.Pool.map pool
-       (fun k ->
-         let lo, hi = node_slices.(k) in
-         List.iter
-           (fun (Chunked m) ->
-             let ops = m.ops and locals = m.locals and target = m.target in
-             for n = lo to hi - 1 do
-               let acc = ref (get locals.(0) n) in
-               for c = 1 to jobs - 1 do
-                 acc := ops.combine !acc (get locals.(c) n)
-               done;
-               set target n !acc
-             done)
-           machines)
-       jobs
-      : unit array)
-
-let create_multi ?pool store packs =
-  match pool with
-  | Some pool when Xvi_util.Pool.parallelism pool > 1 ->
-      create_multi_parallel pool store packs
-  | _ -> create_multi_serial store packs
-
-(* --- Reference computation (tests), and fresh subtrees --- *)
-
-let compute_subtree (type f) (ops : f ops) store fields root =
-  let rec go n =
-    match Store.kind store n with
-    | Store.Text ->
-        let f = ops.of_text (Store.text store n) in
-        set fields n f;
-        f
-    | Store.Comment | Store.Pi | Store.Deleted | Store.Attribute ->
-        ops.identity
-    | Store.Element | Store.Document ->
-        compute_attributes ops store fields n;
-        let f =
-          List.fold_left
-            (fun acc c -> ops.combine acc (go c))
-            ops.identity (Store.children store n)
-        in
-        set fields n f;
-        f
-  in
-  ignore (go root : f)
-
-let create_reference ops store =
-  let fields = empty_fields ops in
-  compute_subtree ops store fields Store.document;
-  fields
-
-(* --- fields of a loaded store ---
-
-   A node is always appended after its parent, so every child's id is
-   above its parent's: one pass in descending id order meets all of a
-   node's children before the node. Each element then folds its
-   children's finished fields (the [create_reference] definition)
-   without Figure 7's traversal, and every column is filled in the same
-   pass, reading each text once. *)
-let fill store packs =
+   Figure 7 walks the document-order text sequence with an explicit
+   stack because MonetDB's pre/size/level table has no child links. The
+   store has them, and a node is always appended after its parent, so
+   every child's id is above its parent's: one pass in descending id
+   order meets all of a node's children before the node. Each element
+   then folds its children's finished fields (the [create_reference]
+   definition) with no stack, and every column is filled in the same
+   pass, reading each text once — the "one pass" of Section 5. *)
+let fill ?(from = 0) store packs =
   (* per column: a text's field, and an element's from its children *)
   let columns =
     List.map
@@ -368,7 +119,7 @@ let fill store packs =
   (* every text is a slice of one copy of the arena: no string per text *)
   let arena = Store.text_arena store in
   let kids = ref (Array.make 64 0) and nkids = ref 0 in
-  for n = Store.node_range store - 1 downto 0 do
+  for n = Store.node_range store - 1 downto max 0 from do
     match Store.kind store n with
     | Store.Deleted | Store.Comment | Store.Pi -> ()
     | Store.Text | Store.Attribute ->
@@ -388,6 +139,43 @@ let fill store packs =
         collect (Store.first_child store n);
         List.iter (fun (_, of_kids) -> of_kids n !kids !nkids) columns
   done
+
+let create ops store =
+  let fields = empty_fields ops in
+  fill store [ Packed (ops, fields) ];
+  fields
+
+(* A fragment's nodes are appended after every existing id, each child
+   after its parent: the pass from its first root covers exactly it. *)
+let compute_subtree ops store fields root =
+  fill ~from:root store [ Packed (ops, fields) ]
+
+(* --- Reference computation (tests) --- *)
+
+let create_reference (type f) (ops : f ops) store =
+  let fields = empty_fields ops in
+  let rec go n =
+    match Store.kind store n with
+    | Store.Text ->
+        let f = ops.of_text (Store.text store n) in
+        set fields n f;
+        f
+    | Store.Comment | Store.Pi | Store.Deleted | Store.Attribute ->
+        ops.identity
+    | Store.Element | Store.Document ->
+        List.iter
+          (fun a -> set fields a (ops.of_text (Store.text store a)))
+          (Store.attributes store n);
+        let f =
+          List.fold_left
+            (fun acc c -> ops.combine acc (go c))
+            ops.identity (Store.children store n)
+        in
+        set fields n f;
+        f
+  in
+  ignore (go Store.document : f);
+  fields
 
 (* --- Figure 8: updates --- *)
 

@@ -57,48 +57,43 @@ val get : 'f fields -> Xvi_xml.Store.node -> 'f
 
 val set : 'f fields -> Xvi_xml.Store.node -> 'f -> unit
 (** Assign one node's field, growing the storage with identity holes as
-    needed — the write primitive of every builder below, exported for
-    the streaming ingest builder which replays its staged fields
-    through the same calls to reproduce the exact storage shape. *)
-
-val create : 'f ops -> Xvi_xml.Store.t -> 'f fields
-(** Figure 7: a single depth-first pass driven by the sequence of text
-    nodes in document order, maintaining an explicit stack of open
-    ancestors; every departed node is combined into its parent exactly
-    once. Attribute fields (independent of the children recursion) are
-    computed in the same pass. *)
+    needed — the write primitive of every builder below. *)
 
 type packed = Packed : 'f ops * 'f fields -> packed
 (** One index's field computation, with its type hidden, so machines of
     different field types can share a pass. *)
 
 val empty_fields : 'f ops -> 'f fields
-(** Fresh, empty storage — for {!create_multi}, and for the streaming
-    ingest builder, which replays its staged fields into it with
-    {!set}. *)
+(** Fresh, empty storage, for {!fill}. *)
 
-val create_multi : ?pool:Xvi_util.Pool.t -> Xvi_xml.Store.t -> packed list -> unit
-(** The paper's Section 5 remark made concrete: "since all indices are
-    independent of each other, creating ... multiple defined indices can
-    be done simultaneously with only one pass". One Figure 7 traversal
-    fills every packed field store; each text node is read once and fed
-    to every machine. The [ablation] bench quantifies the saving.
+val fill : ?from:Xvi_xml.Store.node -> Xvi_xml.Store.t -> packed list -> unit
+(** The one index-creation pass (paper Section 5: "creating ... multiple
+    defined indices can be done simultaneously with only one pass").
+    Fills every packed field store with the field of every live node
+    whose id is at least [from] (default [0], the whole store), in one
+    pass in descending id order: each text is read once and fed to
+    every machine, and each element folds its children's finished
+    fields. It relies on every child's id being above its parent's (see
+    {!Xvi_xml.Store.append_element}), so a node's children are done
+    before it — the order Figure 7's stack walk establishes over
+    MonetDB's child-less pre/size/level table. The fields equal
+    {!create_reference} node for node. *)
 
-    With [?pool] of parallelism [j > 1], the document-order context
-    sequence is cut into [j] contiguous chunks; each domain runs the
-    Figure 7 walk over its chunk into chunk-local partial fields, and
-    the partials are merged per node with the associative [combine] in
-    chunk order. Because every field is a monoid reduction over the
-    text sequence (and [combine] is exact integer arithmetic / an exact
-    SCT table lookup), the merged fields are {e bit-identical} to the
-    serial pass — the [test_parallel] qcheck property pins this down.
-    Without a pool (or with parallelism 1) the serial pass runs and no
-    domain is ever involved. *)
+val create : 'f ops -> Xvi_xml.Store.t -> 'f fields
+(** One index's fields: {!fill} with a single machine. *)
+
+val compute_subtree :
+  'f ops -> Xvi_xml.Store.t -> 'f fields -> Xvi_xml.Store.node -> unit
+(** Fields for a freshly inserted fragment: {!fill} from [root], its
+    first top-level node. A fragment's nodes are appended after every
+    existing id, so the pass covers exactly them. Does not touch
+    ancestors — pass the fragment's parent as [structural] to
+    {!update}. *)
 
 val create_reference : 'f ops -> Xvi_xml.Store.t -> 'f fields
 (** The obviously-correct recursive definition
     ([field n = fold combine (children n)]), used by tests to validate
-    {!create} and {!update}. *)
+    {!fill} and {!update}. *)
 
 type 'f change = {
   node : Xvi_xml.Store.node;
@@ -166,17 +161,3 @@ val update :
   'f update_result
 (** [maintain] over the frontier of [texts] and [structural], for one
     index on its own. *)
-
-val compute_subtree :
-  'f ops -> Xvi_xml.Store.t -> 'f fields -> Xvi_xml.Store.node -> unit
-(** Recursively (re)compute fields for a freshly inserted subtree
-    (its nodes have no valid fields yet); does not touch ancestors —
-    pass the subtree root's parent as [structural] to {!update}. *)
-
-val fill : Xvi_xml.Store.t -> packed list -> unit
-(** Fill empty field stores ({!empty_fields}) with every live node's
-    field, all in one pass in descending id order — the way a loaded
-    snapshot gets its fields. It relies on every child's id being above
-    its parent's, which holds for every store (a node is appended after
-    its parent) and which {!Xvi_xml.Store.decode} checks. Equal to
-    {!create} node for node, without Figure 7's traversal. *)

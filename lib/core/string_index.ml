@@ -53,12 +53,6 @@ let merge_sorted parts =
   done;
   if total = 0 then [||] else Array.sub out 0 total
 
-let of_sorted_keys fields keys =
-  let arr = Array.map (fun k -> (k, ())) keys in
-  { fields; postings = BT.of_sorted_array arr; entries = Array.length arr }
-
-let pack_key h n = pack (Hash.to_int h) n
-
 let of_key_seq fields ~count next =
   {
     fields;
@@ -66,46 +60,45 @@ let of_key_seq fields ~count next =
     entries = count;
   }
 
+let of_sorted_keys fields keys =
+  let i = ref (-1) in
+  of_key_seq fields ~count:(Array.length keys) (fun () ->
+      incr i;
+      keys.(!i))
+
+let pack_key h n = pack (Hash.to_int h) n
+
+(* The packed keys of the indexable nodes in [lo, hi), in id order. *)
+let collect_keys store fields lo hi =
+  let packed = Xvi_util.Vec.Int.create ~capacity:(max 16 (hi - lo)) () in
+  for n = lo to hi - 1 do
+    if indexable store n then
+      Xvi_util.Vec.Int.push packed (pack_key (Indexer.get fields n) n)
+  done;
+  let keys = Xvi_util.Vec.Int.to_array packed in
+  Array.stable_sort Int.compare keys;
+  keys
+
 let of_fields ?pool store fields =
   (* Bulk-load the posting B+tree. (hash, node) fits one unboxed int
-     (32 + 30 bits), so collection and sorting run on an int vector —
+     (32 + 30 bits), so collection and sorting run on an int array —
      the cheap creation path the paper's Figure 9 numbers rely on. *)
+  let range = Store.node_range store in
   match pool with
   | Some pool when Xvi_util.Pool.parallelism pool > 1 ->
-      (* Per-domain local accumulators over node-id slices, each sorted
-         in its domain; the merge into one sorted key array and the
-         B+tree bulk load stay single-threaded. *)
-      let slices =
-        Xvi_util.Pool.slices (Store.node_range store)
-          (Xvi_util.Pool.parallelism pool)
-      in
+      (* Per-domain collection and sort over node-id slices; the merge
+         into one sorted key array and the bulk load stay
+         single-threaded. *)
+      let slices = Xvi_util.Pool.slices range (Xvi_util.Pool.parallelism pool) in
       let parts =
         Xvi_util.Pool.map pool
           (fun k ->
             let lo, hi = slices.(k) in
-            let packed =
-              Xvi_util.Vec.Int.create ~capacity:(max 16 (hi - lo)) ()
-            in
-            for n = lo to hi - 1 do
-              if indexable store n then
-                Xvi_util.Vec.Int.push packed
-                  ((Hash.to_int (Indexer.get fields n) lsl 30) lor n)
-            done;
-            let keys = Xvi_util.Vec.Int.to_array packed in
-            Array.sort Int.compare keys;
-            keys)
+            collect_keys store fields lo hi)
           (Array.length slices)
       in
       of_sorted_keys fields (merge_sorted parts)
-  | _ ->
-      let packed = Xvi_util.Vec.Int.create ~capacity:(Store.node_range store) () in
-      Store.iter_pre store (fun n ->
-          if indexable store n then
-            Xvi_util.Vec.Int.push packed
-              ((Hash.to_int (Indexer.get fields n) lsl 30) lor n));
-      let keys = Xvi_util.Vec.Int.to_array packed in
-      Array.sort Int.compare keys;
-      of_sorted_keys fields keys
+  | _ -> of_sorted_keys fields (collect_keys store fields 0 range)
 
 let create store = of_fields store (Indexer.create Indexer.hash_ops store)
 
@@ -165,12 +158,14 @@ let on_delete t store ~removed fr =
   maintain t store fr
 
 let on_insert t store ~roots fr =
-  List.iter
-    (fun root ->
-      Indexer.compute_subtree Indexer.hash_ops store t.fields root;
-      Store.iter_pre ~root store (fun n ->
-          if indexable store n then add_posting t (Indexer.get t.fields n) n))
-    roots;
+  (match roots with
+  | [] -> ()
+  | r :: rest ->
+      let from = List.fold_left min r rest in
+      Indexer.compute_subtree Indexer.hash_ops store t.fields from;
+      for n = from to Store.node_range store - 1 do
+        if indexable store n then add_posting t (Indexer.get t.fields n) n
+      done);
   maintain t store fr
 
 let snapshot t =

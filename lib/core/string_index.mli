@@ -15,7 +15,7 @@ type t
 type node = Xvi_xml.Store.node
 
 val create : Xvi_xml.Store.t -> t
-(** Build with the Figure 7 single-pass algorithm, then bulk-load the
+(** Compute the hash column ({!Indexer.create}), then bulk-load the
     B+tree. Comments and processing instructions are not indexed (the
     paper covers "text, element, and attribute node values"). *)
 
@@ -25,7 +25,7 @@ val of_fields : ?pool:Xvi_util.Pool.t -> Xvi_xml.Store.t -> Hash.t Indexer.field
     the index.
 
     With [?pool] of parallelism [> 1], posting collection runs on
-    per-domain accumulators over node-id slices (each sorted in its
+    per-domain key arrays over node-id slices (each sorted in its
     domain); the k-way merge and the B+tree bulk load stay
     single-threaded. The resulting tree is identical to the serial
     build. *)
@@ -35,11 +35,10 @@ val pack_key : Hash.t -> node -> int
     low 30.  Packed order is (hash, node) lexicographic order. *)
 
 val of_key_seq : Hash.t Indexer.fields -> count:int -> (unit -> int) -> t
-(** Streaming-ingest assembly: bulk load from a generator of exactly
-    [count] strictly ascending {!pack_key} postings (the ingest
-    builder's batch-sorted runs, k-way merged), without materializing
-    the key array.  Identical ({!digest}) to the serial {!of_fields}
-    over the same document. *)
+(** Bulk load from a generator of exactly [count] strictly ascending
+    {!pack_key} postings, without materializing a binding array — what
+    {!of_fields} and {!decode} both end in.  Over the postings of a
+    document's fields it is identical ({!digest}) to {!of_fields}. *)
 
 val hash_of : t -> node -> Hash.t
 (** The indexed hash of a live node. *)
@@ -85,7 +84,9 @@ val on_delete :
 val on_insert :
   t -> Xvi_xml.Store.t -> roots:node list -> Indexer.frontier -> unit
 (** Freshly inserted subtrees, with their parents as the frontier's
-    structural nodes: computes fields for the new nodes and recombines
+    structural nodes: computes fields for the new nodes in one
+    {!Indexer.compute_subtree} pass from the first root (the fragment's
+    nodes are the last ids of the store), posts them, and recombines
     upward. *)
 
 (** {1 Epochs and persistence} *)

@@ -27,7 +27,7 @@ type t = {
   mutable viable_count : int;
 }
 
-let make ?(reconstruct = `Document) ?(viable_count = 0) spec fields =
+let make ?(reconstruct = `Document) spec fields =
   {
     spec;
     ops = Indexer.sct_ops spec.Lexical_types.sct;
@@ -37,7 +37,7 @@ let make ?(reconstruct = `Document) ?(viable_count = 0) spec fields =
     present = Bigvec.Byte.create ();
     frags = Int_map.empty;
     reconstruct;
-    viable_count;
+    viable_count = 0;
   }
 
 let value_of t n =
@@ -123,93 +123,66 @@ let register t store n state =
       | None -> ()
   end
 
+(* One id-order pass over the indexable nodes in [lo, hi): returns their
+   viable count, and hands each complete one's parsed value to
+   [complete]. In [`Fragment] mode it also fills the shared fragment
+   table, so only a serial caller may run it then. *)
+let collect t store lo hi ~complete =
+  let sct_ = sct t in
+  let viable = ref 0 in
+  for n = lo to hi - 1 do
+    if indexable store n then begin
+      let state = Indexer.get t.fields n in
+      if Sct.is_viable sct_ state then begin
+        incr viable;
+        if t.reconstruct = `Fragment then
+          t.frags <- Int_map.add n (Store.string_value store n) t.frags;
+        if Sct.is_accepting sct_ state then
+          match t.spec.Lexical_types.parse (Store.string_value store n) with
+          | Some v -> complete v n
+          | None -> ()
+      end
+    end
+  done;
+  !viable
+
 let of_fields ?(reconstruct = `Document) ?pool spec store fields =
-  let sct_ = spec.Lexical_types.sct in
   let t = make ~reconstruct spec fields in
+  let range = Store.node_range store in
   let pairs = ref [] in
+  let add v n =
+    set_key t n v;
+    pairs := (Enc.float_int_key v n, ()) :: !pairs
+  in
   (match pool with
   | Some pool
     when Xvi_util.Pool.parallelism pool > 1 && reconstruct = `Document ->
-      (* Per-domain collection over node-id slices: each domain counts
-         its viable nodes and parses its complete values (the expensive
-         part — lexical re-reads and float parsing). The key column
-         fill, the sort and the bulk load stay single-threaded.
-         [`Fragment] mode stays serial: it populates the shared [frags]
-         map during collection. *)
-      let slices =
-        Xvi_util.Pool.slices (Store.node_range store)
-          (Xvi_util.Pool.parallelism pool)
-      in
-      let parts =
-        Xvi_util.Pool.map pool
-          (fun k ->
-            let lo, hi = slices.(k) in
-            let viable = ref 0 and local = ref [] in
-            for n = lo to hi - 1 do
-              if indexable store n then begin
-                let state = Indexer.get fields n in
-                if Sct.is_viable sct_ state then begin
-                  incr viable;
-                  if Sct.is_accepting sct_ state then
-                    match
-                      t.spec.Lexical_types.parse (Store.string_value store n)
-                    with
-                    | Some v -> local := (v, n) :: !local
-                    | None -> ()
-                end
-              end
-            done;
-            (!viable, !local))
-          (Array.length slices)
-      in
+      (* Per-domain collection over node-id slices: viability counts,
+         lexical re-reads and float parsing (the expensive part). The
+         key columns, the sort and the bulk load stay single-threaded. *)
+      let slices = Xvi_util.Pool.slices range (Xvi_util.Pool.parallelism pool) in
       Array.iter
-        (fun (viable, local) ->
+        (fun (viable, complete) ->
           t.viable_count <- t.viable_count + viable;
-          List.iter
-            (fun (v, n) ->
-              set_key t n v;
-              pairs := (Enc.float_int_key v n, ()) :: !pairs)
-            local)
-        parts
-  | _ ->
-      (* One collection pass; the value B+tree is bulk-loaded. *)
-      Store.iter_pre store (fun n ->
-          if indexable store n then begin
-            let state = Indexer.get fields n in
-            if Sct.is_viable sct_ state then begin
-              t.viable_count <- t.viable_count + 1;
-              if t.reconstruct = `Fragment then
-                t.frags <- Int_map.add n (Store.string_value store n) t.frags;
-              if Sct.is_accepting sct_ state then
-                match
-                  t.spec.Lexical_types.parse (Store.string_value store n)
-                with
-                | Some v ->
-                    set_key t n v;
-                    pairs := (Enc.float_int_key v n, ()) :: !pairs
-                | None -> ()
-            end
-          end));
+          List.iter (fun (v, n) -> add v n) complete)
+        (Xvi_util.Pool.map pool
+           (fun k ->
+             let lo, hi = slices.(k) in
+             let complete = ref [] in
+             let viable =
+               collect t store lo hi ~complete:(fun v n ->
+                   complete := (v, n) :: !complete)
+             in
+             (viable, !complete))
+           (Array.length slices))
+  | _ -> t.viable_count <- collect t store 0 range ~complete:add);
   let arr = Array.of_list !pairs in
-  Array.sort (fun (k1, ()) (k2, ()) -> String.compare k1 k2) arr;
+  Array.stable_sort (fun (k1, ()) (k2, ()) -> String.compare k1 k2) arr;
   { t with values = BT.of_sorted_array arr }
 
-(* Streaming-ingest assembly: the builder already ran the state machine
-   and parsed the complete values while shredding; this reproduces the
-   exact structure the serial [of_fields] pass builds — same key
-   columns, same sorted pair array, same bulk load. *)
-let of_streamed spec fields ~viable_count ~complete =
-  let t = make ~viable_count spec fields in
-  Array.iter (fun (n, v) -> set_key t n v) complete;
-  let pairs = Array.map (fun (n, v) -> (Enc.float_int_key v n, ())) complete in
-  Array.sort (fun (k1, ()) (k2, ()) -> String.compare k1 k2) pairs;
-  { t with values = BT.of_sorted_array pairs }
-
 let create ?reconstruct ?pool spec store =
-  let ops = Indexer.sct_ops spec.Lexical_types.sct in
-  let fields = Indexer.empty_fields ops in
-  Indexer.create_multi ?pool store [ Indexer.Packed (ops, fields) ];
-  of_fields ?reconstruct ?pool spec store fields
+  of_fields ?reconstruct ?pool spec store
+    (Indexer.create (Indexer.sct_ops spec.Lexical_types.sct) store)
 
 let bounds lo hi =
   ( Option.map (fun v -> Enc.float_int_key v min_int) lo,
@@ -293,17 +266,16 @@ let on_delete t store ~removed fr =
   maintain t store fr
 
 let on_insert t store ~roots fr =
-  List.iter
-    (fun root ->
-      Indexer.compute_subtree t.ops store t.fields root;
-      (* Register deepest-first so fragments of children exist. *)
-      let nodes = ref [] in
-      Store.iter_pre ~root store (fun n ->
-          if indexable store n then nodes := n :: !nodes);
-      List.iter
-        (fun n -> register t store n (Indexer.get t.fields n))
-        !nodes)
-    roots;
+  (match roots with
+  | [] -> ()
+  | r :: rest ->
+      (* the fragment is the store's last ids; descending id order
+         registers children before their parents *)
+      let from = List.fold_left min r rest in
+      Indexer.compute_subtree t.ops store t.fields from;
+      for n = Store.node_range store - 1 downto from do
+        if indexable store n then register t store n (Indexer.get t.fields n)
+      done);
   maintain t store fr
 
 let snapshot t =
@@ -344,25 +316,12 @@ let decode store spec fields src =
     | 1 -> `Fragment
     | b -> Codec.malformed "unknown reconstruct mode %d" b
   in
-  let sct_ = spec.Lexical_types.sct in
   let t = make ~reconstruct spec fields in
   let complete = ref 0 in
-  for n = 0 to Store.node_range store - 1 do
-    if indexable store n then begin
-      let state = Indexer.get fields n in
-      if Sct.is_viable sct_ state then begin
-        t.viable_count <- t.viable_count + 1;
-        if reconstruct = `Fragment then
-          t.frags <- Int_map.add n (Store.string_value store n) t.frags;
-        if Sct.is_accepting sct_ state then
-          match spec.Lexical_types.parse (Store.string_value store n) with
-          | Some v ->
-              set_key t n v;
-              incr complete
-          | None -> ()
-      end
-    end
-  done;
+  t.viable_count <-
+    collect t store 0 (Store.node_range store) ~complete:(fun v n ->
+        set_key t n v;
+        incr complete);
   let count = Codec.Source.varint src in
   if count <> !complete then
     Codec.malformed "%s: %d value entries for %d complete nodes" name count

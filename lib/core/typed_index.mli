@@ -43,22 +43,9 @@ val of_fields :
 
     With [?pool] of parallelism [> 1] in [`Document] mode, value
     collection (viability counting, lexical re-reads, float parsing)
-    runs per-domain over node-id slices; the sort and B+tree bulk load
+    runs per-domain over node-id slices (otherwise one id-order pass); the sort and B+tree bulk load
     stay single-threaded. [`Fragment] mode always collects serially —
     it fills the shared fragment table during the pass. *)
-
-val of_streamed :
-  Lexical_types.spec ->
-  int Indexer.fields ->
-  viable_count:int ->
-  complete:(node * float) array ->
-  t
-(** Streaming-ingest assembly ([`Document] mode): the ingest builder
-    already counted viable nodes and parsed the complete values while
-    shredding. [complete] must be ascending by node id with each value
-    the successful [spec.parse] of that node's string value; the result
-    is identical ({!digest}) to the serial {!of_fields} pass over the
-    same document. *)
 
 val spec : t -> Lexical_types.spec
 val type_name : t -> string

@@ -1,22 +1,21 @@
-(** Streaming bulk ingest: shred + index in one bounded-memory pass.
+(** Streaming bulk ingest: shred a document as its bytes arrive, then
+    index it.
 
     The whole-document front door ([Parser.parse] then [Db.of_store])
-    allocates O(document) on the heap — the input string, then the
-    posting sort transients — before the first posting lands in the
-    off-heap columns.  This module consumes the same {!Xvi_xml.Sax}
-    event stream that [Parser] appends to a store, but runs the paper's
-    one-pass multi-index machinery {e incrementally} as the events
-    arrive: store rows and field staging go straight into
-    off-heap [Bigvec] columns, the open-element accumulator stack is
-    O(depth), and postings are sorted in bounded batches, k-way merged
-    into the B+tree bulk loader at the end.  Live heap during ingest is
-    O(depth + batch) plus the final index shell.
+    needs the input as one string.  This module pulls {!Xvi_xml.Sax}
+    events from a chunk source and feeds each to the same shredder
+    ({!Xvi_xml.Parser.shred}), so the store's rows land in its off-heap
+    columns as the bytes arrive and the document string never exists.
+    At the end of the stream, {!Builder.finish} indexes the store
+    exactly as [Db.of_store] does: one {!Xvi_core.Indexer.fill} pass
+    computes every field column, then the posting and value trees are
+    bulk-loaded.  Batches of rows only mark where the durable driver
+    ([Xvi_wal.Durable.bulk_ingest]) commits a WAL chunk and where
+    progress is reported.
 
-    The product is {e identical} ({!Xvi_core.Db.digest}) to
-    [Db.of_store ~config (Parser.parse doc)] with [config.jobs = 1]
-    — the differential harness and [Fault.ingest_sweep] enforce this on
-    every document.  [~pool] parallelism only accelerates the per-batch
-    posting sorts, whose output is order-invariant. *)
+    The product is therefore {e identical} ({!Xvi_core.Db.digest}) to
+    [Db.of_store ~config (Parser.parse doc)] — the differential harness
+    and [Fault.ingest_sweep] check this on every document. *)
 
 module Builder : sig
   (** Event consumer.  Feed it a valid [Sax] event stream (the driver
@@ -26,11 +25,11 @@ module Builder : sig
   type t
 
   val create : ?pool:Xvi_util.Pool.t -> Xvi_core.Db.Config.t -> t
-  (** A fresh builder over an empty store.  [config.jobs] is ignored
-      here — pass [?pool] to parallelize batch sorts. *)
+  (** A fresh builder over an empty store.  [?pool] and [config] are
+      handed to [Db.of_store] at {!finish}. *)
 
   val feed : t -> Xvi_xml.Sax.event -> unit
-  (** Append the event's rows and run every index machine one step. *)
+  (** Append the event's rows ({!Xvi_xml.Parser.shred}). *)
 
   val rows : t -> int
   (** Store rows appended so far (= [Store.node_range] of the store
@@ -44,25 +43,18 @@ module Builder : sig
   (** Completed batches. *)
 
   val flush_batch : t -> unit
-  (** Close the current batch: sort its posting run (on the pool when
-      present).  No-op when nothing is pending.  Must only be called at
-      event boundaries — which is any point between {!feed} calls. *)
+  (** Close the current batch.  No-op when nothing is pending. *)
 
   val finish : t -> Xvi_core.Db.t
-  (** Finalize the document node, flush the last batch, replay the
-      staged fields, merge the posting runs into the B+tree bulk
-      loader, and assemble the database.  Must only be called after the
-      event stream ended cleanly ([Ok None] from [Sax.next]); the
-      builder must not be used afterwards. *)
-
-  val staging_bytes : t -> int
-  (** Off-heap bytes held by the staging columns (bench accounting;
-      the store's own columns are not included). *)
+  (** Close the last batch and index the store ([Db.of_store ~config
+      ?pool]).  Must only be called after the event stream ended
+      cleanly ([Ok None] from [Sax.next]); the builder must not be used
+      afterwards. *)
 end
 
 type progress = {
   rows : int;  (** store rows appended *)
-  batches : int;  (** posting batches completed *)
+  batches : int;  (** batches completed *)
   consumed : int;  (** source bytes fully tokenized *)
 }
 
@@ -74,8 +66,11 @@ val load :
   Xvi_xml.Sax.source ->
   (Xvi_core.Db.t, Xvi_xml.Sax.error) result
 (** Drive a source through {!Builder} with a batch cut every
-    [batch_rows] (default 65536) appended rows.  [progress] fires at
-    every batch edge and once at the end.  In-memory (non-durable)
-    ingest; the WAL-checkpointed variant is [Xvi_wal.Durable.bulk_ingest]. *)
+    [batch_rows] (default 65536) appended rows.  Live heap while the
+    document streams in is O(depth + chunk); the index build at the end
+    holds one int array of posting keys besides the product.
+    [progress] fires at every batch edge and once at the end.
+    In-memory (non-durable) ingest; the WAL-checkpointed variant is
+    [Xvi_wal.Durable.bulk_ingest]. *)
 
 val default_batch_rows : int

@@ -28,20 +28,27 @@ let append store ~parent ~top stack (ev : Sax.event) =
       at_top (Store.append_pi store ~parent:under ~target body);
       stack
 
+type shredder = {
+  store : Store.t;
+  mutable stack : Store.node list; (* open elements, innermost first *)
+  mutable root_closed : bool;
+}
+
+let shredder store = { store; stack = []; root_closed = false }
+
+(* Prolog comments and PIs go under the document node; trailing ones,
+   after the root element closed, are lexed but not stored. *)
+let shred s ev =
+  if not s.root_closed then begin
+    s.stack <- append s.store ~parent:Store.document ~top:ignore s.stack ev;
+    match (ev, s.stack) with
+    | Sax.End_element _, [] -> s.root_closed <- true
+    | _ -> ()
+  end
+
 let parse ?strip_ws src =
   let store = Store.create () in
-  (* Prolog comments and PIs go under the document node; trailing ones,
-     after the root element closed, are lexed but not stored. *)
-  let stack = ref [] and root_closed = ref false in
-  let add ev =
-    if not !root_closed then begin
-      stack := append store ~parent:Store.document ~top:ignore !stack ev;
-      match (ev, !stack) with
-      | Sax.End_element _, [] -> root_closed := true
-      | _ -> ()
-    end
-  in
-  match Sax.iter (Sax.make ?strip_ws (Sax.of_string src)) add with
+  match Sax.iter (Sax.make ?strip_ws (Sax.of_string src)) (shred (shredder store)) with
   | Ok () -> Ok store
   | Error e -> Error e
 
@@ -51,13 +58,32 @@ let parse_exn ?strip_ws src =
   | Error e -> failwith (error_to_string e)
 
 let parse_fragment ?strip_ws store ~parent src =
-  (* Lex the whole fragment before touching the store, so a rejected
-     one leaves it unchanged. *)
+  (* Check the parent and lex the whole fragment before touching the
+     store, so a rejected one leaves it unchanged. *)
+  let takes_children =
+    parent >= 0
+    && parent < Store.node_range store
+    &&
+    match Store.kind store parent with
+    | Store.Document | Store.Element -> true
+    | _ -> false
+  in
   let events = ref [] in
   let lexed =
-    Sax.iter
-      (Sax.fragment ?strip_ws (Sax.of_string src))
-      (fun ev -> events := ev :: !events)
+    if not takes_children then
+      Error
+        {
+          line = 1;
+          col = 1;
+          offset = 0;
+          message =
+            Printf.sprintf
+              "insert parent %d is not a live element or the document" parent;
+        }
+    else
+      Sax.iter
+        (Sax.fragment ?strip_ws (Sax.of_string src))
+        (fun ev -> events := ev :: !events)
   in
   match lexed with
   | Error e -> Error e

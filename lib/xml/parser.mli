@@ -22,6 +22,21 @@ val parse : ?strip_ws:bool -> string -> (Store.t, error) result
     whitespace stripping, the common XML-database shredding default; set
     it to [false] to keep mixed-content whitespace exactly. *)
 
+type shredder
+(** The one shredder: appends a document's {!Sax} events to a store. *)
+
+val shredder : Store.t -> shredder
+(** A shredder that appends under the document node of the given store
+    (normally fresh from {!Store.create}). *)
+
+val shred : shredder -> Sax.event -> unit
+(** Append the node the event starts or carries as the last child of the
+    innermost open element. Comments and PIs before the root element go
+    under the document node; every event after the root element closed
+    is dropped. Feed it a well-formed event stream: the caller stops on
+    a {!Sax} error. {!parse} is [shred] over a whole string; streaming
+    ingest drives it one event at a time. *)
+
 val parse_exn : ?strip_ws:bool -> string -> Store.t
 (** @raise Failure on ill-formed input. *)
 
@@ -31,5 +46,6 @@ val parse_fragment :
 (** [parse_fragment store ~parent s] parses a sequence of nodes (no
     single-root requirement) and appends them as children of [parent];
     returns the new top-level node ids. Used for subtree insertion.
-    The whole fragment is lexed before the store is touched: on
-    [Error] the store is unchanged. *)
+    [Error] (at 1:1) when [parent] is out of range or is not a live
+    element or the document; otherwise the whole fragment is lexed
+    before the store is touched. On [Error] the store is unchanged. *)

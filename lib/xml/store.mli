@@ -44,7 +44,15 @@ val document : node
 (** {1 Construction}
 
     [append_*] add a node as the {e last} child (or attribute) of
-    [parent]; this is the shredding path. *)
+    [parent]; this is the shredding path.
+
+    Id invariant: a node is appended after its parent, so every child's
+    (and attribute's) id is above its parent's, in every store.
+    {!compact} rebuilds by appending, so it keeps the invariant, and
+    {!decode} refuses a store that breaks it. One pass in descending id
+    order therefore meets all of a node's children before the node —
+    the order the index build ([Xvi_core.Indexer.fill]) relies on.
+    The nodes of an inserted fragment are the store's last ids. *)
 
 val append_element : t -> parent:node -> string -> node
 val append_text : t -> parent:node -> string -> node

@@ -1,7 +1,8 @@
-(* Tests for the creation (Figure 7) and update (Figure 8) skeleton
-   algorithms: the single-pass stack-driven creation must agree with the
-   obviously-correct recursive definition on arbitrary documents, and
-   updates must leave fields identical to a from-scratch rebuild. *)
+(* Tests for the creation (Section 5's one pass) and update (Figure 8)
+   skeleton algorithms: the single descending-id creation pass must
+   agree with the obviously-correct recursive definition on arbitrary
+   documents, and updates must leave fields identical to a from-scratch
+   rebuild. *)
 
 module Store = Xvi_xml.Store
 module Parser = Xvi_xml.Parser
@@ -95,7 +96,7 @@ let test_create_matches_reference_random () =
     fields_agree ops store fast reference
   done
 
-let test_create_multi_matches_individual () =
+let test_shared_pass_matches_individual () =
   (* one shared pass (paper Section 5) computes the same fields as
      separate passes, for machines of different field types *)
   for seed = 1 to 30 do
@@ -105,7 +106,7 @@ let test_create_multi_matches_individual () =
     let sct_ops = Indexer.sct_ops spec.Xvi_core.Lexical_types.sct in
     let hash_fields = Indexer.empty_fields Indexer.hash_ops in
     let state_fields = Indexer.empty_fields sct_ops in
-    Indexer.create_multi store
+    Indexer.fill store
       [ Indexer.Packed (Indexer.hash_ops, hash_fields);
         Indexer.Packed (sct_ops, state_fields) ];
     fields_agree Indexer.hash_ops store hash_fields
@@ -460,7 +461,7 @@ let () =
           Alcotest.test_case "matches reference (random)" `Quick
             test_create_matches_reference_random;
           Alcotest.test_case "shared pass = individual passes" `Quick
-            test_create_multi_matches_individual;
+            test_shared_pass_matches_individual;
         ] );
       ( "update",
         [

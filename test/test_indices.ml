@@ -359,6 +359,43 @@ let test_db_digest_flipped_posting () =
 
 (* [Db.copy] shares chunks and tree nodes, yet neither side may see the
    other's writes — value updates, inserts and deletes alike. *)
+(* [Db.insert_xml] under a parent that cannot take children is an
+   [Error] raised by the parent check itself, before the fragment is
+   lexed, and the database is unchanged. *)
+let test_db_insert_dead_parent () =
+  let db =
+    match Db.of_xml "<a><b><c/></b>t</a>" with
+    | Ok db -> db
+    | Error e -> Alcotest.failf "parse: %s" (Parser.error_to_string e)
+  in
+  (* ids: 0 document, 1 <a>, 2 <b>, 3 <c>, 4 the text "t" *)
+  Db.delete_subtree db 2;
+  let before = Db.digest db in
+  List.iter
+    (fun (what, parent) ->
+      (match Db.insert_xml db ~parent "<x>1</x>" with
+      | Ok _ -> Alcotest.failf "%s parent %d accepted" what parent
+      | Error e ->
+          let msg = Printf.sprintf "insert parent %d " parent in
+          if
+            not
+              (String.length e.Parser.message >= String.length msg
+              && String.sub e.Parser.message 0 (String.length msg) = msg)
+          then
+            Alcotest.failf "%s parent %d: not refused at the parent: %s" what
+              parent (Parser.error_to_string e));
+      Alcotest.(check string) (what ^ ": digest unchanged") before (Db.digest db))
+    [
+      ("deleted-ancestor", 3);
+      ("deleted", 2);
+      ("out-of-range", 99);
+      ("negative", -1);
+      ("text-node", 4);
+    ];
+  match Db.insert_xml db ~parent:1 "<x>1</x>" with
+  | Ok [ _ ] -> ()
+  | _ -> Alcotest.fail "a live parent still takes the fragment"
+
 let test_db_copy_independent () =
   let db = Db.of_xml_exn person_doc in
   ignore (Db.plane db : Xvi_xml.Pre_plane.t);
@@ -435,6 +472,8 @@ let base_suites =
           Alcotest.test_case "digest sees one flipped posting" `Quick
             test_db_digest_flipped_posting;
           Alcotest.test_case "copy is independent" `Quick test_db_copy_independent;
+          Alcotest.test_case "insert under a dead parent" `Quick
+            test_db_insert_dead_parent;
         ] );
     ]
 

@@ -1,7 +1,7 @@
-(* Parallel index construction: the chunked domain-parallel build must
-   be bit-identical to the serial Figure 7 pass (and hence to the
-   reference recursive definition) for any document and any job count —
-   the monoid-reduction argument behind Indexer.create_multi, pinned
+(* Parallel index construction: a Db built on 1, 2, 4 or 8 domains
+   (posting and typed-value collection per node-id slice, after the one
+   serial field pass) must digest identically, with every field equal
+   to the reference recursive definition, for any document — pinned
    down by a qcheck property over generated documents. Also covers the
    Pool primitive itself, Db.Config-driven parallel builds followed by
    updates, and the deprecated legacy wrappers. *)
@@ -68,42 +68,45 @@ let store_of_seed seed =
 
 (* --- the bit-identity property --- *)
 
-(* Build all three machines in one parallel pass and compare every node
-   field against the serial reference, bitwise (fields are ints in every
-   machine, so [=] is bit equality). *)
-let check_parallel_build store jobs =
-  Pool.with_pool ~jobs (fun pool ->
-      let sct_d_ops = Indexer.sct_ops double_sct in
-      let sct_t_ops = Indexer.sct_ops datetime_sct in
-      let hash_fields = Indexer.empty_fields Indexer.hash_ops in
-      let d_fields = Indexer.empty_fields sct_d_ops in
-      let t_fields = Indexer.empty_fields sct_t_ops in
-      Indexer.create_multi ~pool store
-        [
-          Indexer.Packed (Indexer.hash_ops, hash_fields);
-          Indexer.Packed (sct_d_ops, d_fields);
-          Indexer.Packed (sct_t_ops, t_fields);
-        ];
-      let hash_ref = Indexer.create_reference Indexer.hash_ops store in
-      let d_ref = Indexer.create_reference sct_d_ops store in
-      let t_ref = Indexer.create_reference sct_t_ops store in
-      let ok = ref true in
+(* Build the Db at each job count: every digest must equal the serial
+   one, and every node's hash and both SCT states must equal the
+   reference fields, bitwise (fields are ints in every machine, so [=]
+   is bit equality). *)
+let check_parallel_build store jobs_list =
+  let config jobs =
+    {
+      Db.Config.default with
+      Db.Config.types = Xvi_core.Lexical_types.[ double (); datetime () ];
+      jobs;
+    }
+  in
+  let serial = Db.digest (Db.of_store ~config:(config 1) store) in
+  let hash_ref = Indexer.create_reference Indexer.hash_ops store in
+  let d_ref = Indexer.create_reference (Indexer.sct_ops double_sct) store in
+  let t_ref = Indexer.create_reference (Indexer.sct_ops datetime_sct) store in
+  List.for_all
+    (fun jobs ->
+      let db = Db.of_store ~config:(config jobs) store in
+      let si = Db.string_index db in
+      let state name n =
+        Xvi_core.Typed_index.state_of (Option.get (Db.typed_index db name)) n
+      in
+      let ok = ref (String.equal serial (Db.digest db)) in
       Store.iter_pre store (fun n ->
           if
-            Hash.to_int (Indexer.get hash_fields n)
+            Hash.to_int (Xvi_core.String_index.hash_of si n)
             <> Hash.to_int (Indexer.get hash_ref n)
-            || Indexer.get d_fields n <> Indexer.get d_ref n
-            || Indexer.get t_fields n <> Indexer.get t_ref n
+            || state "xs:double" n <> Indexer.get d_ref n
+            || state "xs:dateTime" n <> Indexer.get t_ref n
           then ok := false);
       !ok)
+    jobs_list
 
 let qcheck_parallel_identical =
   QCheck.Test.make ~count:60
-    ~name:"parallel create_multi bit-identical to reference (jobs 1/2/4/8)"
+    ~name:"parallel Db.of_store bit-identical to reference (jobs 1/2/4/8)"
     QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let store = store_of_seed seed in
-      List.for_all (fun jobs -> check_parallel_build store jobs) [ 1; 2; 4; 8 ])
+    (fun seed -> check_parallel_build (store_of_seed seed) [ 1; 2; 4; 8 ])
 
 (* --- edge-case documents, checked deterministically --- *)
 
@@ -116,7 +119,7 @@ let test_parallel_edge_docs () =
           Alcotest.(check bool)
             (Printf.sprintf "%s at %d jobs" doc jobs)
             true
-            (check_parallel_build store jobs))
+            (check_parallel_build store [ jobs ]))
         [ 1; 2; 3; 4; 8; 17 ])
     [
       "<a/>";
