@@ -119,7 +119,7 @@ let fill ?(from = 0) store packs =
   (* every text is a slice of one copy of the arena: no string per text *)
   let arena = Store.text_arena store in
   let kids = ref (Array.make 64 0) and nkids = ref 0 in
-  for n = Store.node_range store - 1 downto max 0 from do
+  for n = Store.node_range store - 1 downto from do
     match Store.kind store n with
     | Store.Deleted | Store.Comment | Store.Pi -> ()
     | Store.Text | Store.Attribute ->

@@ -269,11 +269,10 @@ let on_insert t store ~roots fr =
   (match roots with
   | [] -> ()
   | r :: rest ->
-      (* the fragment is the store's last ids; descending id order
-         registers children before their parents *)
+      (* the fragment is the store's last ids *)
       let from = List.fold_left min r rest in
       Indexer.compute_subtree t.ops store t.fields from;
-      for n = Store.node_range store - 1 downto from do
+      for n = from to Store.node_range store - 1 do
         if indexable store n then register t store n (Indexer.get t.fields n)
       done);
   maintain t store fr
